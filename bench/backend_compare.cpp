@@ -18,7 +18,6 @@
 #include "kernels/partition.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
-#include "runtime/pipeline.hpp"
 #include "runtime/stage_pipeline.hpp"
 
 namespace bench = spikestream::bench;
@@ -158,23 +157,24 @@ int main() {
     // extra columns itemize).
     k::RunOptions smb_opt = sm_opt;
     smb_opt.cost.dram = spikestream::arch::DramConfig::banked();
-    const rt::PipelinedBatchRunner cold(net, opt, {}, {}, /*depth=*/1);
-    const rt::PipelinedBatchRunner warm(net, reuse_opt, {}, {}, /*depth=*/1);
-    const rt::PipelinedBatchRunner segm(net, sm_opt, {}, {},
-                                        /*depth=*/batch);
-    const rt::PipelinedBatchRunner segb(net, smb_opt, {}, {},
-                                        /*depth=*/batch);
-    // Steady state: lanes keep their weight-residency history across run()
-    // calls, so the second batch is the regime a serving deployment sits in
-    // (the first batch pays each lane's cold start — see host_profile's
+    // Steady state: each one-worker runner gets the batch twice in one call
+    // and the table reads the back half, whose lanes already hold their
+    // weight-residency history — the regime a serving deployment sits in
+    // (the front half pays each lane's cold start — see host_profile's
     // cold/steady split).
-    warm.run_single_step(images);
-    segm.run_single_step(images);
-    segb.run_single_step(images);
-    const auto cold_res = cold.run_single_step(images);
-    const auto warm_res = warm.run_single_step(images);
-    const auto segm_res = segm.run_single_step(images);
-    const auto segb_res = segb.run_single_step(images);
+    std::vector<snn::Tensor> doubled = images;
+    doubled.insert(doubled.end(), images.begin(), images.end());
+    auto steady = [&](const k::RunOptions& o) {
+      const rt::BatchRunner runner(net, o, {}, {}, /*workers=*/1);
+      auto res = runner.run_single_step(doubled);
+      res.erase(res.begin(),
+                res.begin() + static_cast<std::ptrdiff_t>(images.size()));
+      return res;
+    };
+    const auto cold_res = steady(opt);
+    const auto warm_res = steady(reuse_opt);
+    const auto segm_res = steady(sm_opt);
+    const auto segb_res = steady(smb_opt);
 
     sc::Table w("batch-level DMA per sample (batch " +
                 std::to_string(batch) +
@@ -361,8 +361,8 @@ int main() {
   }
 
   // --- stage-parallel cluster pipeline on the deep tower --------------------
-  // The modeled counterpart of the host-side pipelined executor: contiguous
-  // layer ranges on disjoint cluster groups, coupled by finite spike FIFOs.
+  // Contiguous layer ranges on disjoint cluster groups, coupled by finite
+  // spike FIFOs.
   // Per stage: busy window split into service / FIFO stall / idle, peak
   // FIFO occupancy and the boundary payload (all modeled cycles, not host
   // time). S-VGG11 keeps choosing data-parallel on the same cost query, so
@@ -420,26 +420,6 @@ int main() {
           tl.steady_cycles_per_sample, tl.fill_cycles, dp_total / n,
           (dp_total / n) / tl.steady_cycles_per_sample);
     }
-  }
-
-  // --- pipelined batch executor: host wall-clock vs BatchRunner -------------
-  {
-    std::vector<rt::MultiStepResult> batch_res, pipe_res;
-    const rt::BatchRunner runner(net, opt, {}, {}, /*workers=*/4);
-    const double batch_ms2 =
-        wall_ms([&] { batch_res = runner.run(images, /*timesteps=*/2); });
-    const rt::PipelinedBatchRunner pipe(net, opt, {}, {}, /*depth=*/4);
-    const double pipe_ms =
-        wall_ms([&] { pipe_res = pipe.run(images, /*timesteps=*/2); });
-    bool same = true;
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      same = same && batch_res[i].spike_counts == pipe_res[i].spike_counts;
-    }
-    std::printf(
-        "\npipelined executor (depth 4) vs BatchRunner x4, batch-%d x 2 "
-        "steps:\n  BatchRunner %.1f ms, pipelined %.1f ms, outputs "
-        "identical: %s\n",
-        batch, batch_ms2, pipe_ms, same ? "yes" : "NO (BUG)");
   }
 
   // --- batch throughput: serial engines vs BatchRunner ----------------------

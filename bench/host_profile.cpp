@@ -26,7 +26,6 @@
 #include "runtime/backend.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace {
 
@@ -49,19 +48,14 @@ struct BackendProfile {
   /// Modeled whole-network DMA per sample at steady state (batch mean).
   double dma_mb_per_sample = 0;
   /// Batch-DMA savings (weight-tile reuse + segment-major), split by lane
-  /// temperature — this is the resolution of the historical
-  /// analytical+batchreuse (2.046) vs pipelined+batchreuse (2.338)
-  /// discrepancy: pipelined lanes stay warm across run() calls, so its
-  /// steady-state batches skip one more cold sample per lane than the very
-  /// first batch does, while BatchRunner rebuilds its states every call and
-  /// therefore reports cold-start numbers forever. `cold` is the first
-  /// batch on freshly built lanes; `steady` is a batch after the lanes have
-  /// history (tests/test_pipeline.cpp pins cold*B == steady*(B-1) for a
-  /// depth-1 pipeline).
+  /// temperature. BatchRunner builds fresh lane states on every call, so
+  /// the profile runs the batch twice in one call: `cold` is the front half
+  /// (each lane's first sample pays the cold weight DMA), `steady` the back
+  /// half (every lane already holds its pinned tiles) — the regime a runner
+  /// that kept its lanes warm across batches would sit in
+  /// (tests/test_runtime.cpp pins cold*B == steady*(B-1) for one worker).
   double dma_saved_mb_cold = 0;
   double dma_saved_mb_steady = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   /// Which workload this row ran (svgg11 or widefc).
   std::string network = "svgg11";
   /// Banked-DRAM row-buffer outcomes, whole network (0 in flat-legacy mode).
@@ -75,45 +69,32 @@ struct BackendProfile {
   double modeled_mcycles_per_sample = 0;
 };
 
-/// Shared profiling body over any runner with run_single_step() + engine():
-/// BatchRunner (sample fan-out) and PipelinedBatchRunner (stage overlap).
-template <typename Runner>
-BackendProfile profile_runner(const std::string& label, const Runner& runner,
+BackendProfile profile_runner(const std::string& label,
+                              const rt::BatchRunner& runner,
                               const std::vector<snn::Tensor>& images,
                               int reps) {
   BackendProfile prof;
   prof.name = label;
   const std::size_t layers = runner.engine().network().num_layers();
-  const double n = static_cast<double>(images.size());
+  const std::size_t b = images.size();
+  const double n = static_cast<double>(b);
 
-  auto batch_saved = [](const std::vector<rt::InferenceResult>& results) {
-    double saved = 0;
-    for (const rt::InferenceResult& res : results) {
-      for (const auto& m : res.layers) saved += m.stats.dma_saved_bytes;
-    }
-    return saved;
-  };
-
-  // Cold-start savings: the very first batch this runner executes, before
-  // any lane has weight-residency history.
-  prof.dma_saved_mb_cold = batch_saved(runner.run_single_step(images)) /
-                           (1e6 * n);
-
-  // Throughput: timed batch repetitions (the cold run doubled as warmup).
-  const double t0 = now_s();
-  for (int r = 0; r < reps; ++r) runner.run_single_step(images);
-  const double dt = now_s() - t0;
-  const double sample_runs = static_cast<double>(reps) * images.size();
-  prof.samples_per_sec = sample_runs / dt;
-  prof.ns_per_layer = dt * 1e9 / (sample_runs * static_cast<double>(layers));
-
-  // Steady-state savings + whole-network modeled DMA per sample.
+  // Cold and steady regimes from one call on the doubled batch (see
+  // BackendProfile); the call doubles as warmup for the timed runs.
   {
-    const auto results = runner.run_single_step(images);
-    prof.dma_saved_mb_steady = batch_saved(results) / (1e6 * n);
-    double dma = 0, hits = 0, misses = 0, hidden = 0, cycles = 0;
-    for (const rt::InferenceResult& res : results) {
-      for (const auto& m : res.layers) {
+    std::vector<snn::Tensor> doubled = images;
+    doubled.insert(doubled.end(), images.begin(), images.end());
+    const auto results = runner.run_single_step(doubled);
+    double saved_cold = 0, saved = 0, dma = 0, hits = 0, misses = 0,
+           hidden = 0, cycles = 0;
+    for (std::size_t i = 0; i < b; ++i) {
+      for (const auto& m : results[i].layers) {
+        saved_cold += m.stats.dma_saved_bytes;
+      }
+    }
+    for (std::size_t i = b; i < 2 * b; ++i) {
+      for (const auto& m : results[i].layers) {
+        saved += m.stats.dma_saved_bytes;
         dma += m.stats.dma_bytes;
         hits += m.stats.dma_row_hits;
         misses += m.stats.dma_row_misses;
@@ -121,19 +102,28 @@ BackendProfile profile_runner(const std::string& label, const Runner& runner,
         cycles += m.stats.cycles;
       }
     }
+    prof.dma_saved_mb_cold = saved_cold / (1e6 * n);
+    prof.dma_saved_mb_steady = saved / (1e6 * n);
     prof.dma_mb_per_sample = dma / (1e6 * n);
     prof.row_hit_rate = hits + misses > 0 ? hits / (hits + misses) : 0.0;
     prof.hidden_mcycles_per_sample = hidden / (1e6 * n);
     prof.modeled_mcycles_per_sample = cycles / (1e6 * n);
   }
 
+  // Throughput: timed batch repetitions.
+  const double t0 = now_s();
+  for (int r = 0; r < reps; ++r) runner.run_single_step(images);
+  const double dt = now_s() - t0;
+  const double sample_runs = static_cast<double>(reps) * n;
+  prof.samples_per_sec = sample_runs / dt;
+  prof.ns_per_layer = dt * 1e9 / (sample_runs * static_cast<double>(layers));
+
   // Steady-state allocations: one engine, one state, one reused result —
   // this measures the shared per-layer hot path (backend + kernels +
-  // scratch arenas), which is identical for every runner wrapping the same
-  // engine. Runner-level orchestration (batch fan-out, pipeline ticks) is
-  // excluded here because the by-value result marshalling both runners
-  // return would drown the signal; its steady-state behavior is pinned by
-  // tests/test_scratch_reuse.cpp instead.
+  // scratch arenas). Runner-level orchestration (batch fan-out, lockstep
+  // waves) is excluded here because the per-call lane states and by-value
+  // result marshalling would drown the signal; its steady-state behavior is
+  // pinned by tests/test_scratch_reuse.cpp instead.
   {
     const rt::InferenceEngine& engine = runner.engine();
     snn::NetworkState state = engine.make_state();
@@ -149,12 +139,6 @@ BackendProfile profile_runner(const std::string& label, const Runner& runner,
         static_cast<double>(after - before) /
         (static_cast<double>(alloc_runs) * static_cast<double>(layers));
   }
-
-  if (const auto* a = dynamic_cast<const rt::AnalyticalBackend*>(
-          &runner.engine().backend())) {
-    prof.cache_hits = a->cost_cache_hits();
-    prof.cache_misses = a->cost_cache_misses();
-  }
   return prof;
 }
 
@@ -165,16 +149,6 @@ BackendProfile profile_backend(const std::string& label,
                                const std::vector<snn::Tensor>& images,
                                int reps, int workers = 0) {
   const rt::BatchRunner runner(net, opt, cfg, {}, workers);
-  return profile_runner(label, runner, images, reps);
-}
-
-BackendProfile profile_pipelined(const std::string& label,
-                                 const snn::Network& net,
-                                 const k::RunOptions& opt,
-                                 const rt::BackendConfig& cfg, int depth,
-                                 const std::vector<snn::Tensor>& images,
-                                 int reps) {
-  const rt::PipelinedBatchRunner runner(net, opt, cfg, {}, depth);
   return profile_runner(label, runner, images, reps);
 }
 
@@ -200,12 +174,6 @@ int main() {
   }
   {
     rt::BackendConfig cfg;
-    cfg.memoize_cost = true;
-    profiles.push_back(
-        profile_backend("analytical+memo", net, opt, cfg, images, reps));
-  }
-  {
-    rt::BackendConfig cfg;
     cfg.kind = rt::BackendKind::kCycleAccurate;
     profiles.push_back(
         profile_backend("cycle-accurate", net, opt, cfg, images, reps));
@@ -218,28 +186,17 @@ int main() {
         profile_backend("sharded-4", net, opt, cfg, images, reps));
   }
   {
-    // Stage-overlapped pipeline: layer L of sample i concurrent with layer
-    // L+1 of sample i-1, depth-4 lane rotation.
-    rt::BackendConfig cfg;
-    profiles.push_back(profile_pipelined("analytical+pipelined", net, opt,
-                                         cfg, /*depth=*/4, images, reps));
-  }
-  {
     // Batch-level weight-tile reuse: SPM-resident weight tiles survive
     // between samples, skipping the weight DMA on warm samples. The
-    // BatchRunner row runs single-worker so which samples are cold is
-    // deterministic (multithreaded slots are assigned by a racing claim
-    // order — see RunOptions::batch_weight_reuse); the pipelined row's
-    // lane rotation is deterministic at any width.
+    // row runs single-worker so which samples are cold is deterministic
+    // (multithreaded slots are assigned by a racing claim order — see
+    // RunOptions::batch_weight_reuse).
     k::RunOptions reuse_opt = opt;
     reuse_opt.batch_weight_reuse = true;
     rt::BackendConfig cfg;
     profiles.push_back(profile_backend("analytical+batchreuse", net,
                                        reuse_opt, cfg, images, reps,
                                        /*workers=*/1));
-    profiles.push_back(profile_pipelined("pipelined+batchreuse", net,
-                                         reuse_opt, cfg, /*depth=*/4, images,
-                                         reps));
   }
   {
     // Segment-major batched FC execution: the batch loop inverts for
@@ -252,8 +209,6 @@ int main() {
     rt::BackendConfig cfg;
     profiles.push_back(profile_backend("analytical+segmajor", net, sm_opt,
                                        cfg, images, reps, /*workers=*/1));
-    profiles.push_back(profile_pipelined("pipelined+segmajor", net, sm_opt,
-                                         cfg, /*depth=*/batch, images, reps));
   }
 
   {
@@ -311,17 +266,16 @@ int main() {
               "%u hw threads\n",
               batch, wide_batch, reps,
               std::max(1u, std::thread::hardware_concurrency()));
-  std::printf("%-26s %11s %11s %13s %11s %11s %11s %8s %8s %10s\n", "backend",
+  std::printf("%-26s %11s %11s %13s %11s %11s %11s %8s %8s\n", "backend",
               "samples/s", "ns/layer", "allocs/layer", "dma MB/s.",
-              "saved stdy", "Mcyc/s.", "rowhit", "hidden", "memo h/m");
+              "saved stdy", "Mcyc/s.", "rowhit", "hidden");
   for (const auto& p : profiles) {
     std::printf(
-        "%-26s %11.1f %11.0f %13.3f %11.3f %11.3f %11.3f %8.3f %8.3f "
-        "%6zu/%zu\n",
+        "%-26s %11.1f %11.0f %13.3f %11.3f %11.3f %11.3f %8.3f %8.3f\n",
         p.name.c_str(), p.samples_per_sec, p.ns_per_layer,
         p.steady_allocs_per_layer, p.dma_mb_per_sample, p.dma_saved_mb_steady,
         p.modeled_mcycles_per_sample, p.row_hit_rate,
-        p.hidden_mcycles_per_sample, p.cache_hits, p.cache_misses);
+        p.hidden_mcycles_per_sample);
   }
 
   // BENCH_host.json: one flat record per backend, easy to diff across PRs.
@@ -370,8 +324,6 @@ int main() {
       w.field("modeled_mcycles_per_sample", p.modeled_mcycles_per_sample, 4);
       w.field("row_hit_rate", p.row_hit_rate, 4);
       w.field("hidden_mcycles_per_sample", p.hidden_mcycles_per_sample, 4);
-      w.field("cost_cache_hits", p.cache_hits);
-      w.field("cost_cache_misses", p.cache_misses);
       w.end_object();
     }
     w.end_array();

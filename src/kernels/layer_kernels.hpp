@@ -13,8 +13,9 @@
 // Each kernel is split into a *functional* pass (accumulate currents, run the
 // LIF step — the math that must match the golden reference bit-for-bit) and a
 // *timing* pass (the mechanistic cost model). Both write into a caller-owned
-// KernelScratch so steady-state execution allocates nothing; backends may run
-// the passes separately to memoize the timing (see runtime/backend.hpp).
+// KernelScratch so steady-state execution allocates nothing; backends run the
+// passes separately (the cycle-accurate backend re-anchors the timing pass,
+// the sharded backend splits it across clusters; see runtime/backend.hpp).
 #pragma once
 
 #include <span>
@@ -59,9 +60,10 @@ struct RunOptions {
   /// then depends on which execution lane a sample lands on: under a
   /// multithreaded BatchRunner that assignment is decided by the worker
   /// pool's racing claim order, making per-sample modeled DMA/cycles vary
-  /// with thread scheduling. Use PipelinedBatchRunner (deterministic lane
-  /// rotation) or a single-worker BatchRunner when reproducible modeled
-  /// numbers matter.
+  /// with thread scheduling. Use a single-worker BatchRunner (or lockstep
+  /// waves, whose sample -> lane mapping is fixed) when reproducible modeled
+  /// numbers matter. BatchRunner builds fresh lane states on every call, so
+  /// each call's first sample per lane is cold.
   bool batch_weight_reuse = false;
   /// Segment-major batched FC execution: with >= 2 lanes, segmented FC
   /// layers (fan-in weight bands cycling through one SPM tile — pinning is
@@ -76,8 +78,8 @@ struct RunOptions {
   /// of lane assignment and execution order — a batch-scope run
   /// (ExecutionBackend::run_fc_batch) and the serial per-sample path produce
   /// bit-identical spikes *and* cycles. Set it to the steady batch width the
-  /// runner actually drives (BatchRunner / PipelinedBatchRunner switch to
-  /// lockstep waves of this many samples when it is >= 2).
+  /// runner actually drives (BatchRunner switches to lockstep waves of this
+  /// many samples when it is >= 2; InferenceServer caps its waves at it).
   int segment_major_lanes = 1;
   CostParams cost;
 };

@@ -21,8 +21,7 @@ namespace spikestream::runtime {
 class CycleAccurateBackend : public AnalyticalBackend {
  public:
   explicit CycleAccurateBackend(const kernels::RunOptions& opt,
-                                int sample_spvas = 32,
-                                bool memoize_cost = false);
+                                int sample_spvas = 32);
 
   const char* name() const override { return "cycle-accurate"; }
 
@@ -63,7 +62,7 @@ class CycleAccurateBackend : public AnalyticalBackend {
   double baseline_dense_ratio(double len) const;
 
  protected:
-  /// Analytical FC timing (memo included) + ISS re-anchoring of the compute
+  /// Analytical FC timing + ISS re-anchoring of the compute
   /// critical path — the tail run_fc and run_fc_batch both call.
   void time_fc(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
                kernels::LayerScratch& scratch) const override;
@@ -92,7 +91,7 @@ class CycleAccurateBackend : public AnalyticalBackend {
   /// that jitter, is small enough to exhaust (≤ ~50 entries per kind, array
   /// storage, no node allocations), and keeps the ratio a pure function of
   /// the requested length — cycle counts stay independent of execution
-  /// order, which the pipelined executor's parity tests rely on.
+  /// order, which the batch runner's parity tests rely on.
   static constexpr std::size_t kSparseBuckets = 49;  ///< lengths 1..256
   static constexpr std::size_t kDenseBuckets = 55;   ///< lengths 8..4096
   using SparseCache = std::array<double, kSparseBuckets>;

@@ -28,70 +28,90 @@ BatchRunner::BatchRunner(const snn::Network& net,
 
 BatchRunner::~BatchRunner() = default;
 
-void BatchRunner::for_samples(
-    std::size_t n,
-    common::FunctionRef<void(std::size_t, std::size_t)> fn) const {
-  const std::size_t slots =
-      std::min<std::size_t>(static_cast<std::size_t>(workers_), n);
-  if (slots <= 1 || pool_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    return;
-  }
-  pool_->parallel_for(n, slots, fn);
-}
-
-// Each worker slot keeps one NetworkState for the whole batch: membranes are
-// cleared between samples (run_timesteps / run_event_stream do that, the
-// single-step path clears explicitly) while the scratch arenas inside stay
-// warm, so every sample after the first runs allocation-free.
-
-std::vector<snn::NetworkState> BatchRunner::worker_states(
-    std::size_t n_samples) const {
-  // Must match for_samples(): slot indices run in [0, min(workers_, n)).
-  std::vector<snn::NetworkState> states(
-      std::min<std::size_t>(static_cast<std::size_t>(workers_),
-                            std::max<std::size_t>(n_samples, 1)));
-  for (auto& s : states) s = engine_.make_state();
-  return states;
-}
-
 std::vector<MultiStepResult> BatchRunner::run(
     const std::vector<snn::Tensor>& images, int timesteps) const {
-  if (lockstep()) return run_lockstep(images, timesteps);
   std::vector<MultiStepResult> results(images.size());
-  std::vector<snn::NetworkState> states = worker_states(images.size());
-  for_samples(images.size(), [&](std::size_t worker, std::size_t i) {
-    results[i] = run_timesteps(engine_, states[worker], images[i], timesteps);
-  });
+  for (MultiStepResult& r : results) r.timesteps = timesteps;
+  // Per-slot timestep buffers, reused across samples and timesteps.
+  std::vector<InferenceResult> steps(slots(images.size()));
+  run_steps(
+      images, timesteps,
+      [&](std::size_t slot, std::size_t) -> InferenceResult& {
+        return steps[slot];
+      },
+      [&](std::size_t i, const InferenceResult& step) {
+        results[i].accumulate_step(step);
+      });
   return results;
 }
 
-// --- segment-major lockstep waves -------------------------------------------
-// Wave lanes own one NetworkState each; all lanes advance through the same
-// layer together so segmented FC layers execute as one batch-scope call.
+std::vector<InferenceResult> BatchRunner::run_single_step(
+    const std::vector<snn::Tensor>& images) const {
+  std::vector<InferenceResult> results(images.size());
+  run_steps(
+      images, /*timesteps=*/1,
+      [&](std::size_t, std::size_t i) -> InferenceResult& {
+        return results[i];
+      },
+      [](std::size_t, const InferenceResult&) {});
+  return results;
+}
 
 bool BatchRunner::lockstep() const {
   return engine_.options().segment_major_lanes > 1;
 }
 
-std::size_t BatchRunner::wave_width(std::size_t n) const {
-  return std::min<std::size_t>(
-      std::max<std::size_t>(n, 1),
-      static_cast<std::size_t>(engine_.options().segment_major_lanes));
+std::size_t BatchRunner::slots(std::size_t n) const {
+  const int width =
+      lockstep() ? engine_.options().segment_major_lanes : workers_;
+  return std::min(std::max<std::size_t>(n, 1),
+                  static_cast<std::size_t>(width));
 }
 
-std::vector<MultiStepResult> BatchRunner::run_lockstep(
-    const std::vector<snn::Tensor>& images, int timesteps) const {
+void BatchRunner::run_steps(const std::vector<snn::Tensor>& images,
+                            int timesteps, StepOut out, StepDone done) const {
+  if (images.empty() || timesteps <= 0) return;
+  std::vector<snn::NetworkState> states(slots(images.size()));
+  for (snn::NetworkState& s : states) s = engine_.make_state();
+  if (lockstep()) {
+    run_waves(images, timesteps, states, out, done);
+  } else {
+    run_fan_out(images, timesteps, states, out, done);
+  }
+}
+
+// Each worker slot keeps one NetworkState for the whole batch: membranes are
+// cleared between samples while the scratch arenas inside stay warm, so every
+// sample after the first runs allocation-free.
+void BatchRunner::run_fan_out(const std::vector<snn::Tensor>& images,
+                              int timesteps,
+                              std::vector<snn::NetworkState>& states,
+                              StepOut out, StepDone done) const {
+  auto sample = [&](std::size_t slot, std::size_t i) {
+    snn::NetworkState& state = states[slot];
+    state.clear();
+    InferenceResult& step = out(slot, i);
+    for (int t = 0; t < timesteps; ++t) {
+      engine_.run(images[i], state, step);
+      done(i, step);
+    }
+  };
+  if (states.size() <= 1 || pool_ == nullptr) {
+    for (std::size_t i = 0; i < images.size(); ++i) sample(0, i);
+    return;
+  }
+  pool_->parallel_for(images.size(), states.size(), sample);
+}
+
+// Wave lanes own one NetworkState each; all lanes advance through the same
+// layer together so segmented FC layers execute as one batch-scope call.
+void BatchRunner::run_waves(const std::vector<snn::Tensor>& images,
+                            int timesteps,
+                            std::vector<snn::NetworkState>& states,
+                            StepOut out, StepDone done) const {
   const std::size_t n = images.size();
   const std::size_t layers = engine_.network().num_layers();
-  std::vector<MultiStepResult> results(n);
-  for (MultiStepResult& r : results) r.timesteps = timesteps;
-  if (n == 0 || timesteps <= 0 || layers == 0) return results;
-
-  const std::size_t W = wave_width(n);
-  std::vector<snn::NetworkState> states(W);
-  for (auto& s : states) s = engine_.make_state();
-  std::vector<InferenceResult> steps(W);  // per-lane timestep accumulator
+  const std::size_t W = states.size();
   std::vector<InferenceEngine::BatchLane> lanes(W);
   WorkerPool* pool = pool_.get();
   for (std::size_t w0 = 0; w0 < n; w0 += W) {
@@ -99,66 +119,16 @@ std::vector<MultiStepResult> BatchRunner::run_lockstep(
     for (std::size_t i = 0; i < wn; ++i) states[i].clear();
     for (int t = 0; t < timesteps; ++t) {
       for (std::size_t i = 0; i < wn; ++i) {
-        engine_.begin_sample(steps[i]);
-        lanes[i] = {&images[w0 + i], nullptr, &states[i], &steps[i]};
+        InferenceResult& step = out(i, w0 + i);
+        engine_.begin_sample(step);
+        lanes[i] = {&images[w0 + i], nullptr, &states[i], &step};
       }
       for (std::size_t l = 0; l < layers; ++l) {
         engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
       }
-      for (std::size_t i = 0; i < wn; ++i) {
-        results[w0 + i].accumulate_step(steps[i]);
-      }
+      for (std::size_t i = 0; i < wn; ++i) done(w0 + i, *lanes[i].out);
     }
   }
-  return results;
-}
-
-std::vector<InferenceResult> BatchRunner::run_single_step_lockstep(
-    const std::vector<snn::Tensor>& images) const {
-  const std::size_t n = images.size();
-  const std::size_t layers = engine_.network().num_layers();
-  std::vector<InferenceResult> results(n);
-  if (n == 0 || layers == 0) return results;
-
-  const std::size_t W = wave_width(n);
-  std::vector<snn::NetworkState> states(W);
-  for (auto& s : states) s = engine_.make_state();
-  std::vector<InferenceEngine::BatchLane> lanes(W);
-  WorkerPool* pool = pool_.get();
-  for (std::size_t w0 = 0; w0 < n; w0 += W) {
-    const std::size_t wn = std::min(W, n - w0);
-    for (std::size_t i = 0; i < wn; ++i) {
-      states[i].clear();
-      engine_.begin_sample(results[w0 + i]);
-      lanes[i] = {&images[w0 + i], nullptr, &states[i], &results[w0 + i]};
-    }
-    for (std::size_t l = 0; l < layers; ++l) {
-      engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
-    }
-  }
-  return results;
-}
-
-std::vector<MultiStepResult> BatchRunner::run_events(
-    const std::vector<std::vector<snn::SpikeMap>>& streams) const {
-  std::vector<MultiStepResult> results(streams.size());
-  std::vector<snn::NetworkState> states = worker_states(streams.size());
-  for_samples(streams.size(), [&](std::size_t worker, std::size_t i) {
-    results[i] = run_event_stream(engine_, states[worker], streams[i]);
-  });
-  return results;
-}
-
-std::vector<InferenceResult> BatchRunner::run_single_step(
-    const std::vector<snn::Tensor>& images) const {
-  if (lockstep()) return run_single_step_lockstep(images);
-  std::vector<InferenceResult> results(images.size());
-  std::vector<snn::NetworkState> states = worker_states(images.size());
-  for_samples(images.size(), [&](std::size_t worker, std::size_t i) {
-    states[worker].clear();
-    engine_.run(images[i], states[worker], results[i]);
-  });
-  return results;
 }
 
 }  // namespace spikestream::runtime

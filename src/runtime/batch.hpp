@@ -3,7 +3,10 @@
 // samples concurrently on a shared immutable engine — each worker slot owns
 // one snn::NetworkState (cleared between samples, its scratch arenas reused),
 // so per-sample membrane dynamics stay fully independent and the outputs are
-// bit-identical to a serial run, whatever the worker count.
+// bit-identical to a serial run, whatever the worker count. Lane states are
+// built fresh on every call, so no call inherits weight residency from an
+// earlier one: with RunOptions::batch_weight_reuse each call's first sample
+// per lane is cold, and repeated calls return identical modeled stats.
 //
 // Samples fan out on the engine's persistent WorkerPool — the same threads
 // the sharded backend fans its per-layer shards out on — so batch x shard
@@ -47,13 +50,6 @@ class BatchRunner {
   std::vector<MultiStepResult> run(const std::vector<snn::Tensor>& images,
                                    int timesteps = 1) const;
 
-  /// Event-driven variant: one pre-padded frame sequence per sample. Always
-  /// uses per-sample fan-out (streams may have unequal lengths, which rules
-  /// out lockstep waves); modeled stats are unaffected — the segment-major
-  /// accounting is schedule-independent.
-  std::vector<MultiStepResult> run_events(
-      const std::vector<std::vector<snn::SpikeMap>>& streams) const;
-
   /// Single-timestep variant keeping the full per-layer metrics per sample.
   std::vector<InferenceResult> run_single_step(
       const std::vector<snn::Tensor>& images) const;
@@ -62,26 +58,34 @@ class BatchRunner {
   int workers() const { return workers_; }
 
  private:
-  /// Claim samples [0, n) from the worker pool across at most `workers_`
-  /// slots. `fn(slot, i)` runs sample i on slot `slot`, so callers can keep
-  /// one reusable NetworkState per slot instead of one per sample.
-  void for_samples(std::size_t n,
-                   common::FunctionRef<void(std::size_t, std::size_t)> fn)
-      const;
-
-  /// One reusable NetworkState per worker slot that for_samples() will
-  /// engage for `n_samples` samples (sized with the same slot formula).
-  std::vector<snn::NetworkState> worker_states(std::size_t n_samples) const;
+  /// Where one timestep of sample `i` writes its result: `slot` is the
+  /// worker slot (fan-out) or wave lane (lockstep) running it.
+  using StepOut = common::FunctionRef<InferenceResult&(std::size_t slot,
+                                                       std::size_t i)>;
+  /// Called after each finished timestep of sample `i`.
+  using StepDone =
+      common::FunctionRef<void(std::size_t i, const InferenceResult& step)>;
 
   /// True when the engine's options ask for segment-major lockstep waves.
   bool lockstep() const;
-  /// Lockstep wave width for an `n`-sample batch.
-  std::size_t wave_width(std::size_t n) const;
+  /// Slots the schedule engages for an `n`-sample batch: worker slots for
+  /// fan-out, the wave width for lockstep waves.
+  std::size_t slots(std::size_t n) const;
 
-  std::vector<MultiStepResult> run_lockstep(
-      const std::vector<snn::Tensor>& images, int timesteps) const;
-  std::vector<InferenceResult> run_single_step_lockstep(
-      const std::vector<snn::Tensor>& images) const;
+  /// Run `timesteps` steps of every image on the schedule lockstep()
+  /// picks, over one fresh NetworkState per slot (so no call inherits
+  /// weight residency from an earlier one). Each sample starts from cleared
+  /// membranes.
+  void run_steps(const std::vector<snn::Tensor>& images, int timesteps,
+                 StepOut out, StepDone done) const;
+  /// Sample fan-out: worker slots claim whole samples from the pool.
+  void run_fan_out(const std::vector<snn::Tensor>& images, int timesteps,
+                   std::vector<snn::NetworkState>& states, StepOut out,
+                   StepDone done) const;
+  /// Lockstep waves: up to slots(n) samples advance layer by layer together.
+  void run_waves(const std::vector<snn::Tensor>& images, int timesteps,
+                 std::vector<snn::NetworkState>& states, StepOut out,
+                 StepDone done) const;
 
   InferenceEngine engine_;
   int workers_;

@@ -1,10 +1,12 @@
-// Multi-timestep runner, event-driven input, strided-indirect option, and
-// the ISS instruction trace.
+// Multi-timestep runner, the batch runner's two schedules and its
+// weight-reuse lane semantics, event-driven input, strided-indirect option,
+// and the ISS instruction trace.
 #include <gtest/gtest.h>
 
 #include "arch/cluster.hpp"
 #include "arch/program.hpp"
 #include "common/rng.hpp"
+#include "runtime/batch.hpp"
 #include "runtime/multistep.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
@@ -40,6 +42,25 @@ snn::Network event_net() {
     net.layer(l).lif.v_rst = 0.6f;
   }
   return net;
+}
+
+snn::Network batch_net() {
+  snn::Network net = snn::Network::make_tiny(18, 3, 32, 10);
+  sc::Rng rng(42);
+  net.init_weights(rng);
+  const auto calib = snn::make_batch(4, 7, 16, 16, 3);
+  const std::vector<double> targets = {0.20, 0.15, 0.30};
+  snn::calibrate_thresholds(net, calib, targets);
+  return net;
+}
+
+double dma_saved(const std::vector<rt::InferenceResult>& res,
+                 std::size_t lo, std::size_t hi) {
+  double saved = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    for (const auto& m : res[i].layers) saved += m.stats.dma_saved_bytes;
+  }
+  return saved;
 }
 
 }  // namespace
@@ -94,6 +115,87 @@ TEST(MultiStep, ArgmaxOnEmptyResultIsMinusOne) {
   rt::MultiStepResult tie;
   tie.spike_counts = {3, 3, 1};
   EXPECT_EQ(tie.argmax(), 0);
+}
+
+TEST(BatchRunner, DegenerateInputsOnBothSchedules) {
+  // Sample fan-out (segment_major_lanes 1) and lockstep waves (3 lanes, so
+  // a 4-sample batch needs a partial second wave) share the edge cases, and
+  // run() and run_single_step() drive the same loop per schedule.
+  const snn::Network net = batch_net();
+  const auto images = snn::make_batch(4, 3, 16, 16, 3);
+  for (const int lanes : {1, 3}) {
+    k::RunOptions opt;
+    opt.segment_major_lanes = lanes;
+    const rt::BatchRunner runner(net, opt, {}, {}, /*workers=*/2);
+    EXPECT_TRUE(runner.run({}, 2).empty()) << lanes;
+    EXPECT_TRUE(runner.run_single_step({}).empty()) << lanes;
+    const auto zero_steps = runner.run(images, 0);
+    ASSERT_EQ(zero_steps.size(), images.size()) << lanes;
+    EXPECT_EQ(zero_steps[0].timesteps, 0) << lanes;
+    EXPECT_EQ(zero_steps[0].argmax(), -1) << lanes;
+
+    const auto one = runner.run(images, 1);
+    const auto single = runner.run_single_step(images);
+    ASSERT_EQ(single.size(), images.size()) << lanes;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const std::vector<std::uint32_t> spikes(
+          single[i].final_output.v.begin(), single[i].final_output.v.end());
+      EXPECT_EQ(one[i].spike_counts, spikes) << lanes << " sample " << i;
+      EXPECT_DOUBLE_EQ(one[i].total_cycles, single[i].total_cycles)
+          << lanes << " sample " << i;
+    }
+  }
+}
+
+TEST(BatchRunner, BatchWeightReuseColdStartVsSteadyState) {
+  // BatchRunner builds fresh lane states on every call, so each call's
+  // first sample on a lane pays the cold weight DMA and later samples on
+  // that lane reuse the pinned tiles. A one-worker runner given the batch
+  // twice in one call therefore shows both regimes: the front half has
+  // (B-1) warm samples, the back half B — the per-batch savings satisfy
+  //   saved_cold * B == saved_steady * (B - 1).
+  const snn::Network net = batch_net();
+  const std::size_t B = 4;
+  const auto images = snn::make_batch(B, 77, 16, 16, 3);
+  std::vector<snn::Tensor> doubled = images;
+  doubled.insert(doubled.end(), images.begin(), images.end());
+  k::RunOptions off;
+  k::RunOptions on = off;
+  on.batch_weight_reuse = true;
+  const rt::BatchRunner cold_runner(net, off, {}, {}, /*workers=*/1);
+  const rt::BatchRunner runner(net, on, {}, {}, /*workers=*/1);
+  const auto ref = cold_runner.run_single_step(doubled);
+  const auto res = runner.run_single_step(doubled);
+  ASSERT_EQ(res.size(), 2 * B);
+
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    // Functional results are never affected by the DMA model.
+    EXPECT_EQ(ref[i].final_output.v, res[i].final_output.v) << i;
+    for (std::size_t l = 0; l < res[i].layers.size(); ++l) {
+      const auto& cs = ref[i].layers[l].stats;
+      const auto& ws = res[i].layers[l].stats;
+      EXPECT_EQ(cs.dma_saved_bytes, 0.0) << "reuse off must not save";
+      // Saved bytes are really gone from the transfer volume.
+      EXPECT_LE(ws.dma_bytes + ws.dma_saved_bytes, cs.dma_bytes + 1e-6)
+          << "sample " << i << " layer " << l;
+      EXPECT_LE(ws.cycles, cs.cycles + 1e-6) << "warm may only be faster";
+    }
+  }
+  // Energy follows the reduced DMA traffic.
+  EXPECT_LT(res[B].total_energy_mj, ref[B].total_energy_mj);
+
+  const double cold = dma_saved(res, 0, B);
+  const double steady = dma_saved(res, B, 2 * B);
+  EXPECT_EQ(dma_saved(res, 0, 1), 0.0) << "first sample has no resident tiles";
+  ASSERT_GT(cold, 0.0);
+  EXPECT_GT(steady, cold);
+  EXPECT_NEAR(cold * static_cast<double>(B),
+              steady * static_cast<double>(B - 1), 1e-6);
+  // No lane history survives a call: repeating it is bit-identical.
+  const auto again = runner.run_single_step(doubled);
+  for (std::size_t i = 0; i < doubled.size(); ++i) {
+    EXPECT_DOUBLE_EQ(res[i].total_cycles, again[i].total_cycles) << i;
+  }
 }
 
 TEST(EventInput, RunsWithoutEncodeLayer) {

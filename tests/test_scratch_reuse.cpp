@@ -14,7 +14,6 @@
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
-#include "runtime/pipeline.hpp"
 #include "runtime/server.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
@@ -191,48 +190,6 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsCycleAccurate) {
       << "cycle-accurate steady state must not calibrate or allocate";
 }
 
-TEST(ScratchReuse, ZeroSteadyStateAllocationsMemoized) {
-  // The cost memo's table is fixed-capacity with pre-reserved entries, so
-  // even a steady-state *miss* (a genuinely new occupancy bucket) inserts
-  // without touching the heap.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 13, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig cfg;
-  cfg.memoize_cost = true;
-  const rt::InferenceEngine engine(net, opt, cfg);
-  snn::NetworkState state = engine.make_state();
-  rt::InferenceResult res;
-  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 12; ++t) engine.run(img, state, res);
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u)
-      << "memoized steady state (hits AND misses) must not allocate";
-  const auto* a =
-      dynamic_cast<const rt::AnalyticalBackend*>(&engine.backend());
-  ASSERT_NE(a, nullptr);
-  EXPECT_GT(a->cost_cache_hits(), 0u);
-}
-
-TEST(ScratchReuse, ZeroSteadyStateAllocationsMemoizedCycleAccurate) {
-  // Both caches stacked: ISS ratio buckets + cost memo.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 29, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig cfg;
-  cfg.kind = rt::BackendKind::kCycleAccurate;
-  cfg.memoize_cost = true;
-  const rt::InferenceEngine engine(net, opt, cfg);
-  snn::NetworkState state = engine.make_state();
-  rt::InferenceResult res;
-  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 12; ++t) engine.run(img, state, res);
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u);
-}
-
 TEST(ScratchReuse, ZeroSteadyStateAllocationsPooledSharded) {
   // The persistent worker pool extends the zero-allocation contract to the
   // threaded sharded mode: shard fan-out submits stack jobs onto pre-created
@@ -290,27 +247,31 @@ TEST(ScratchReuse, BatchRunnerReusedStatesMatchPerSampleStates) {
   }
 }
 
-TEST(ScratchReuse, PipelinedRunnerSteadyStatePerBatchAllocsStable) {
-  // The pipelined executor's orchestration (tick scheduling, lane
-  // borrowing) must reach a steady per-batch allocation count: after
+TEST(ScratchReuse, BatchRunnerSteadyStatePerBatchAllocsStable) {
+  // The batch runner's orchestration (fresh lane states, slot claiming,
+  // lockstep waves) must reach a steady per-batch allocation count: after
   // warmup, every further batch allocates exactly as much as the previous
-  // one (the residue is the by-value result marshalling, which is
-  // per-batch constant), so growth-type regressions inside the runner show
-  // up as a drift.
+  // one (the residue is the per-call lane states and the by-value result
+  // marshalling, both per-batch constant), so growth-type regressions inside
+  // the runner show up as a drift. Both schedules run with a deterministic
+  // sample -> lane mapping: one-worker fan-out, and 3-lane waves.
   const snn::Network net = test_net();
   const auto images = snn::make_batch(5, 3, 16, 16, 3);
-  k::RunOptions opt;
-  const rt::PipelinedBatchRunner runner(net, opt, {}, {}, /*depth=*/3);
-  for (int r = 0; r < 4; ++r) runner.run_single_step(images);
-  std::size_t per_batch = 0;
-  for (int r = 0; r < 5; ++r) {
-    const std::size_t before = spikestream::alloc_hook::allocs();
-    runner.run_single_step(images);
-    const std::size_t d = spikestream::alloc_hook::allocs() - before;
-    if (r == 0) {
-      per_batch = d;
-    } else {
-      EXPECT_EQ(per_batch, d) << "batch " << r;
+  for (const int lanes : {1, 3}) {
+    k::RunOptions opt;
+    opt.segment_major_lanes = lanes;
+    const rt::BatchRunner runner(net, opt, {}, {}, /*workers=*/lanes);
+    for (int r = 0; r < 4; ++r) runner.run_single_step(images);
+    std::size_t per_batch = 0;
+    for (int r = 0; r < 5; ++r) {
+      const std::size_t before = spikestream::alloc_hook::allocs();
+      runner.run_single_step(images);
+      const std::size_t d = spikestream::alloc_hook::allocs() - before;
+      if (r == 0) {
+        per_batch = d;
+      } else {
+        EXPECT_EQ(per_batch, d) << "lanes " << lanes << " batch " << r;
+      }
     }
   }
 }
