@@ -1,8 +1,6 @@
 #include "common/float_formats.hpp"
 
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <limits>
 
 namespace spikestream::common {
@@ -117,23 +115,23 @@ std::uint32_t narrow_from_f32(float x, int exp_bits, int man_bits,
   return sign | (e_field << man_bits) | m_field;
 }
 
-// Generic small-float -> float32.
+// Generic small-float -> float32, exact for every pattern of every supported
+// format. Normals are rebuilt from their bits (every target exponent range
+// fits float32's); subnormals are the small integer mantissa times an exact
+// power of two, so no libm call is involved.
 float widen_to_f32(std::uint32_t b, int exp_bits, int man_bits,
                    bool ieee_special) {
   const int total = 1 + exp_bits + man_bits;
   const int bias = (1 << (exp_bits - 1)) - 1;
   const std::uint32_t exp_max = (1u << exp_bits) - 1;
 
-  const std::uint32_t sign = (b >> (total - 1)) & 1u;
+  const std::uint32_t sign = ((b >> (total - 1)) & 1u) << 31;
   const std::uint32_t e = (b >> man_bits) & exp_max;
   const std::uint32_t m = b & ((1u << man_bits) - 1);
 
   if (e == exp_max) {
     if (ieee_special) {
-      if (m == 0) {
-        return sign ? -std::numeric_limits<float>::infinity()
-                    : std::numeric_limits<float>::infinity();
-      }
+      if (m == 0) return std::bit_cast<float>(sign | 0x7F800000u);  // +-inf
       return std::numeric_limits<float>::quiet_NaN();
     }
     if (m == ((1u << man_bits) - 1)) {
@@ -143,15 +141,16 @@ float widen_to_f32(std::uint32_t b, int exp_bits, int man_bits,
   }
 
   if (e == 0) {
-    if (m == 0) return sign ? -0.0f : 0.0f;
-    // Subnormal: m * 2^(1-bias-man_bits)
-    float v = std::ldexp(static_cast<float>(m), 1 - bias - man_bits);
-    return sign ? -v : v;
+    if (m == 0) return std::bit_cast<float>(sign);  // +-0
+    // Subnormal: m * 2^(1 - bias - man_bits), both factors exact.
+    const float scale = std::bit_cast<float>(
+        static_cast<std::uint32_t>(127 + 1 - bias - man_bits) << 23);
+    return std::bit_cast<float>(
+        sign | std::bit_cast<std::uint32_t>(static_cast<float>(m) * scale));
   }
 
-  const float frac = 1.0f + static_cast<float>(m) / static_cast<float>(1u << man_bits);
-  float v = std::ldexp(frac, static_cast<int>(e) - bias);
-  return sign ? -v : v;
+  const auto e32 = static_cast<std::uint32_t>(static_cast<int>(e) - bias + 127);
+  return std::bit_cast<float>(sign | (e32 << 23) | (m << (23 - man_bits)));
 }
 
 }  // namespace

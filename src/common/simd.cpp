@@ -8,8 +8,11 @@
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define SPIKESTREAM_X86_SIMD 1
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
+
+#include "common/float_formats.hpp"
 
 namespace spikestream::common::simd {
 
@@ -409,6 +412,80 @@ void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
   }
 #endif
   groups_scalar(row, c, group, groups, counts);
+}
+
+// ---------------------------------------------------------------------------
+// Binary16 weight pack (engine-build quantize)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool pack_half_scalar(const float* src, std::uint16_t* half, float* widened,
+                      std::size_t n) {
+  bool exact = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = src[i];
+    const std::uint16_t h = fp32_to_fp16_bits(x);
+    const float back = fp16_bits_to_fp32(h);
+    half[i] = h;
+    if (widened != nullptr) widened[i] = back;
+    // Bit-compare so -0.0 / NaN cannot slip through an == check.
+    exact &= std::bit_cast<std::uint32_t>(back) ==
+             std::bit_cast<std::uint32_t>(x);
+  }
+  return exact;
+}
+
+#ifdef SPIKESTREAM_X86_SIMD
+
+bool probe_f16c() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  return __get_cpuid(1, &a, &b, &c, &d) != 0 && (c & bit_F16C) != 0;
+}
+
+bool has_f16c() {
+  static const bool yes = probe_f16c();
+  return yes;
+}
+
+__attribute__((target("avx2,f16c"))) bool pack_half_f16c(
+    const float* src, std::uint16_t* half, float* widened, std::size_t n) {
+  __m256i diff = _mm256_setzero_si256();  // OR of (widened ^ src) bits
+  bool exact = true;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(src + i);
+    if (_mm256_movemask_ps(_mm256_cmp_ps(x, x, _CMP_UNORD_Q)) != 0) {
+      exact &= pack_half_scalar(src + i, half + i,
+                                widened != nullptr ? widened + i : nullptr, 8);
+      continue;
+    }
+    const __m128i h = _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT);
+    const __m256 w = _mm256_cvtph_ps(h);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(half + i), h);
+    if (widened != nullptr) _mm256_storeu_ps(widened + i, w);
+    diff = _mm256_or_si256(diff, _mm256_xor_si256(_mm256_castps_si256(w),
+                                                  _mm256_castps_si256(x)));
+  }
+  exact &= _mm256_testz_si256(diff, diff) != 0;
+  return pack_half_scalar(src + i, half + i,
+                          widened != nullptr ? widened + i : nullptr,
+                          n - i) &&
+         exact;
+}
+
+#endif  // SPIKESTREAM_X86_SIMD
+
+}  // namespace
+
+bool pack_half(const float* src, std::uint16_t* half, float* widened,
+               std::size_t n) {
+#ifdef SPIKESTREAM_X86_SIMD
+  if (active() != Tier::kScalar && has_f16c()) {
+    return pack_half_f16c(src, half, widened, n);
+  }
+#endif
+  return pack_half_scalar(src, half, widened, n);
 }
 
 // ---------------------------------------------------------------------------

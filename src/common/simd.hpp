@@ -1,10 +1,11 @@
 // Runtime-dispatched host SIMD kernels for the three simulator hot loops:
 // the CSR nonzero-byte scan (ifmap compression), the LIF membrane step, and
 // the dense per-SIMD-group spike accumulate that feeds the schedule
-// simulation. Each kernel has a scalar reference implementation plus AVX2 and
-// AVX-512 variants compiled with function-level target attributes, so one
-// portable binary carries every tier and picks the widest one the running CPU
-// supports (probed once via cpuid).
+// simulation — plus the binary16 weight pack run once per engine build.
+// Each kernel has a scalar reference implementation plus vector variants
+// compiled with function-level target attributes, so one portable binary
+// carries every tier and picks the widest one the running CPU supports
+// (probed once via cpuid).
 //
 // Bit-exactness contract: every tier of a kernel produces byte-identical
 // output for identical input — the vector paths are lane-wise transcriptions
@@ -64,6 +65,20 @@ std::size_t lif_step(const float* cur, float* mem, std::uint8_t* spikes,
 /// per-group task costs.
 void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
                         double* counts);
+
+/// IEEE binary16 pack with round-to-nearest-even: half[i] =
+/// fp32_to_fp16_bits(src[i]) and, unless `widened` is null, widened[i] =
+/// fp16_bits_to_fp32(half[i]). `widened` may alias `src` (quantize in
+/// place). Returns true iff every element round-trips, i.e. the re-widened
+/// float is bitwise src[i].
+///
+/// Every tier >= kAvx2 runs one F16C variant (vcvtps2ph / vcvtph2ps, gated
+/// on its own cpuid probe, since the tier ladder does not imply F16C). The
+/// hardware conversions agree with the software model on every non-NaN
+/// float32; they differ only on NaN payloads, so a vector chunk holding a
+/// NaN falls back to the scalar conversions.
+bool pack_half(const float* src, std::uint16_t* half, float* widened,
+               std::size_t n);
 
 // --- CRC32C checksum engine -------------------------------------------------
 // The seal/verify primitive of the data-integrity subsystem

@@ -491,21 +491,28 @@ const snn::LayerWeights& ShardedBackend::shard_weights(
   sub.k = w.k;
   sub.in_c = w.in_c;
   sub.out_c = hi - lo;
-  sub.v.reserve(w.v.size() / static_cast<std::size_t>(w.out_c) *
-                static_cast<std::size_t>(sub.out_c));
+  const std::size_t sub_size = w.v.size() / static_cast<std::size_t>(w.out_c) *
+                               static_cast<std::size_t>(sub.out_c);
+  sub.v.reserve(sub_size);
+  // A sub-range of an exact half array is exact: copy the half-precision
+  // streaming path's runs alongside the float ones.
+  sub.half_exact = w.half_exact;
+  if (sub.half_exact) sub.half.reserve(sub_size);
   // Output channels are innermost, so each (kh, kw, ci) row contributes one
   // contiguous run of `hi - lo` values.
   for (int kh = 0; kh < w.k; ++kh) {
     for (int kw = 0; kw < w.k; ++kw) {
       for (int ci = 0; ci < w.in_c; ++ci) {
-        const std::size_t base = w.index(kh, kw, ci, lo);
-        sub.v.insert(sub.v.end(), w.v.begin() + static_cast<std::ptrdiff_t>(base),
-                     w.v.begin() + static_cast<std::ptrdiff_t>(base + sub.out_c));
+        const auto base = static_cast<std::ptrdiff_t>(w.index(kh, kw, ci, lo));
+        const auto end = base + sub.out_c;
+        sub.v.insert(sub.v.end(), w.v.begin() + base, w.v.begin() + end);
+        if (sub.half_exact) {
+          sub.half.insert(sub.half.end(), w.half.begin() + base,
+                          w.half.begin() + end);
+        }
       }
     }
   }
-  // Keep the half-precision streaming path available on the slice.
-  if (w.half_exact) sub.build_half();
   // std::map nodes are stable: the reference outlives the lock.
   return weight_cache_.insert_or_assign(key, std::move(sub)).first->second;
 }

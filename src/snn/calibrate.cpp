@@ -77,14 +77,21 @@ std::vector<double> calibrate_thresholds(Network& net,
       }
     }
 
-    // 2) v_th = (1 - target)-quantile of the pooled current distribution.
+    // 2) v_th = (1 - target)-quantile of the pooled current distribution:
+    // the element a full sort would put at index qi, selected in O(n).
+    std::size_t pooled = 0;
+    for (const auto& t : currents) pooled += t.v.size();
     std::vector<float> pool;
+    pool.reserve(pooled);
     for (const auto& t : currents) pool.insert(pool.end(), t.v.begin(), t.v.end());
-    std::sort(pool.begin(), pool.end());
     const double target = target_rates[l];
     auto qi = static_cast<std::size_t>(
         std::clamp((1.0 - target) * static_cast<double>(pool.size()),
                    0.0, static_cast<double>(pool.size() - 1)));
+    std::nth_element(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(qi),
+                     pool.end());
+    // Equal values are interchangeable except +-0, and either lands on the
+    // positive floor below.
     float vth = pool[qi];
     if (vth <= 0.0f) vth = 1e-3f;  // keep thresholds positive
     spec.lif.v_th = vth;

@@ -3,7 +3,9 @@
 //
 // Because a single-timestep LIF with zero initial membrane fires exactly when
 // r * i >= v_th, the threshold achieving a target rate is the corresponding
-// quantile of the layer's input-current distribution — no bisection needed.
+// quantile of the layer's input-current distribution — no bisection needed,
+// and no full sort either: std::nth_element selects the quantile element in
+// linear time (the same value a sort would place at that index).
 // Layers are calibrated front to back so each layer sees the spike statistics
 // produced by the already-calibrated prefix (the "threshold balancing"
 // technique from the ANN->SNN conversion literature).

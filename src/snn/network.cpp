@@ -1,9 +1,10 @@
 #include "snn/network.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/simd.hpp"
 
 namespace spikestream::snn {
 
@@ -30,25 +31,45 @@ void Network::init_weights(common::Rng& rng) {
   }
 }
 
-void LayerWeights::build_half() {
-  half.clear();
-  half_exact = false;
-  half.reserve(v.size());
-  for (float x : v) {
-    const std::uint16_t h = common::fp32_to_fp16_bits(x);
-    const float back = common::fp16_bits_to_fp32(h);
-    // Bit-compare so -0.0 / NaN cannot slip through an == check.
-    if (std::bit_cast<std::uint32_t>(back) != std::bit_cast<std::uint32_t>(x)) {
-      half.clear();
-      return;
-    }
-    half.push_back(h);
+namespace {
+
+/// Weights per pack block: small enough that a block narrowed in place is
+/// still in L1 when the exactness pass re-reads it, so quantize-and-pack
+/// streams each layer through memory once.
+constexpr std::size_t kPackBlock = 2048;
+
+/// Fills `w.half` block by block from `w.v`; the pack's round-trip flag is
+/// the exactness check. With `narrow_first`, each block of `w.v` is first
+/// rounded to binary16 in place (the FP16 quantize) and every block is
+/// processed; otherwise packing stops at the first block that does not
+/// round-trip, so an FP32 layer touches little of `half`.
+void pack_half_blocks(LayerWeights& w, bool narrow_first) {
+  w.half.clear();
+  w.half.reserve(w.v.size());
+  bool exact = true;
+  for (std::size_t lo = 0; lo < w.v.size() && (exact || narrow_first);
+       lo += kPackBlock) {
+    const std::size_t len = std::min(kPackBlock, w.v.size() - lo);
+    w.half.resize(lo + len);
+    float* v = w.v.data() + lo;
+    std::uint16_t* h = w.half.data() + lo;
+    if (narrow_first) common::simd::pack_half(v, h, v, len);
+    exact = common::simd::pack_half(v, h, nullptr, len) && exact;
   }
-  half_exact = true;
+  w.half_exact = exact;
+  if (!exact) w.half.clear();
 }
+
+}  // namespace
+
+void LayerWeights::build_half() { pack_half_blocks(*this, false); }
 
 void Network::quantize_weights(common::FpFormat fmt) {
   for (auto& w : weights_) {
+    if (fmt == common::FpFormat::FP16) {
+      pack_half_blocks(w, true);
+      continue;
+    }
     for (float& x : w.v) x = common::quantize(x, fmt);
     w.build_half();
   }

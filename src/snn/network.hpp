@@ -50,9 +50,10 @@ struct LayerWeights {
   std::vector<float> v;
 
   /// IEEE binary16 bit pattern of every element of `v`, valid iff
-  /// `half_exact`. Built by quantize-time `build_half()` when every value
-  /// round-trips float -> half -> float bit-exactly (always true after FP16
-  /// or FP8 quantization, never for FP32): the conv/FC functional kernels
+  /// `half_exact`. Filled at quantize time (in the same pass as the FP16
+  /// rounding, or by `build_half()` after FP8) when every value round-trips
+  /// float -> half -> float bit-exactly (always true after FP16 or FP8
+  /// quantization, never for FP32): the conv/FC functional kernels
   /// then stream weight rows at half the memory traffic and convert on the
   /// fly, with results bit-identical to the float32 path.
   std::vector<std::uint16_t> half;
@@ -88,7 +89,9 @@ class Network {
   void init_weights(common::Rng& rng);
 
   /// Round every weight to the given storage format (Section III-C batches
-  /// them in SIMD words of this format).
+  /// them in SIMD words of this format) and build each layer's `half`. FP16
+  /// rounds and packs in one vectorized pass per layer (common::simd::
+  /// pack_half); FP8 rounds element by element, then packs.
   void quantize_weights(common::FpFormat fmt);
 
   /// The paper's S-VGG11 adapted to CIFAR10 (Fig. 3a shapes; DESIGN.md §5).

@@ -94,22 +94,30 @@ TEST(BackendParity, QuickstartSpikesBitIdenticalAcrossBackends) {
   const rt::InferenceEngine analytical(net, opt);
   const rt::InferenceEngine cycle(net, opt, cycle_cfg());
   const rt::InferenceEngine sharded(net, opt, sharded_cfg(4));
+  // Two clusters slice the 32-channel conv into 16-channel shards, which
+  // stream their half-precision weight slices.
+  const rt::InferenceEngine sharded2(net, opt, sharded_cfg(2));
 
   const auto images = snn::make_batch(2, 99, 16, 16, 3);
   for (const auto& img : images) {
     snn::NetworkState sa = analytical.make_state();
     snn::NetworkState sc_ = cycle.make_state();
     snn::NetworkState ss = sharded.make_state();
+    snn::NetworkState ss2 = sharded2.make_state();
     // Multiple timesteps: membrane carry-over must also agree bit-exactly.
     for (int t = 0; t < 3; ++t) {
       const auto ra = analytical.run(img, sa);
       const auto rc = cycle.run(img, sc_);
       const auto rs = sharded.run(img, ss);
+      const auto rs2 = sharded2.run(img, ss2);
       ASSERT_EQ(ra.final_output.v, rc.final_output.v) << "t=" << t;
       ASSERT_EQ(ra.final_output.v, rs.final_output.v) << "t=" << t;
+      ASSERT_EQ(ra.final_output.v, rs2.final_output.v) << "t=" << t;
       for (std::size_t l = 0; l < ra.layers.size(); ++l) {
         EXPECT_DOUBLE_EQ(ra.layers[l].out_firing_rate,
                          rs.layers[l].out_firing_rate);
+        EXPECT_DOUBLE_EQ(ra.layers[l].out_firing_rate,
+                         rs2.layers[l].out_firing_rate);
       }
     }
   }

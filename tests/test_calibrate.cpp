@@ -2,6 +2,11 @@
 // generalize to held-out images.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "snn/calibrate.hpp"
@@ -11,6 +16,84 @@
 
 namespace snn = spikestream::snn;
 namespace sc = spikestream::common;
+
+namespace {
+
+/// Oracle for the thresholds calibrate_thresholds picked: recompute every
+/// layer's pooled input currents through the golden reference on the
+/// calibrated network (each layer sees the same calibrated prefix
+/// calibration did), fully sort them, and read the (1 - target) quantile.
+std::vector<float> sorted_quantile_thresholds(
+    const snn::Network& net, const std::vector<snn::Tensor>& images,
+    const std::vector<double>& targets) {
+  std::vector<std::vector<float>> pools(net.num_layers());
+  snn::Reference ref(net);
+  for (const auto& img : images) {
+    ref.reset();
+    const auto& io = ref.step(img);
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      const snn::LayerWeights& w = net.weights(l);
+      snn::Tensor cur;
+      switch (net.layer(l).kind) {
+        case snn::LayerKind::kEncodeConv:
+          cur = snn::Reference::conv_currents_dense(io[l].dense_input, w);
+          break;
+        case snn::LayerKind::kConv:
+          cur = snn::Reference::conv_currents(io[l].spike_input, w);
+          break;
+        case snn::LayerKind::kFc:
+          cur = snn::Reference::fc_currents(io[l].spike_input, w);
+          break;
+      }
+      pools[l].insert(pools[l].end(), cur.v.begin(), cur.v.end());
+    }
+  }
+  std::vector<float> out;
+  for (std::size_t l = 0; l < pools.size(); ++l) {
+    std::vector<float>& pool = pools[l];
+    std::sort(pool.begin(), pool.end());
+    const auto qi = static_cast<std::size_t>(
+        std::clamp((1.0 - targets[l]) * static_cast<double>(pool.size()), 0.0,
+                   static_cast<double>(pool.size() - 1)));
+    out.push_back(pool[qi] <= 0.0f ? 1e-3f : pool[qi]);
+  }
+  return out;
+}
+
+void expect_thresholds_match_sorted_quantiles(
+    snn::Network net, const std::vector<snn::Tensor>& images,
+    const std::vector<double>& targets) {
+  snn::calibrate_thresholds(net, images, targets);
+  const std::vector<float> expect =
+      sorted_quantile_thresholds(net, images, targets);
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const snn::LifParams& lif = net.layer(l).lif;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(expect[l]),
+              std::bit_cast<std::uint32_t>(lif.v_th))
+        << net.layer(l).name << ": " << expect[l] << " vs " << lif.v_th;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(lif.v_th),
+              std::bit_cast<std::uint32_t>(lif.v_rst))
+        << net.layer(l).name;
+  }
+}
+
+}  // namespace
+
+TEST(Calibrate, Svgg11ThresholdsEqualSortedQuantiles) {
+  snn::Network net = snn::Network::make_svgg11();
+  sc::Rng rng(1);
+  net.init_weights(rng);
+  expect_thresholds_match_sorted_quantiles(net, snn::make_batch(2, 20),
+                                           snn::svgg11_target_rates());
+}
+
+TEST(Calibrate, DeepTowerThresholdsEqualSortedQuantiles) {
+  snn::Network net = snn::Network::make_deep_tower();
+  sc::Rng rng(1);
+  net.init_weights(rng);
+  expect_thresholds_match_sorted_quantiles(
+      net, snn::make_batch(4, 20, 6, 6, 3), snn::deep_tower_target_rates());
+}
 
 TEST(Calibrate, HitsTargetRatesOnCalibrationBatch) {
   snn::Network net = snn::Network::make_tiny(12, 3, 8, 6);

@@ -2,12 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/rng.hpp"
 
 namespace sc = spikestream::common;
+
+namespace {
+
+/// The std::ldexp widening formula the conversions used before they built
+/// floats from bits; kept as the oracle for the exhaustive decode tests.
+float ldexp_widen(std::uint32_t b, int exp_bits, int man_bits,
+                  bool ieee_special) {
+  const int total = 1 + exp_bits + man_bits;
+  const int bias = (1 << (exp_bits - 1)) - 1;
+  const std::uint32_t exp_max = (1u << exp_bits) - 1;
+  const std::uint32_t sign = (b >> (total - 1)) & 1u;
+  const std::uint32_t e = (b >> man_bits) & exp_max;
+  const std::uint32_t m = b & ((1u << man_bits) - 1);
+  if (e == exp_max) {
+    if (ieee_special) {
+      if (m == 0) {
+        return sign ? -std::numeric_limits<float>::infinity()
+                    : std::numeric_limits<float>::infinity();
+      }
+      return std::numeric_limits<float>::quiet_NaN();
+    }
+    if (m == ((1u << man_bits) - 1)) {
+      return std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+  if (e == 0) {
+    if (m == 0) return sign ? -0.0f : 0.0f;
+    const float v = std::ldexp(static_cast<float>(m), 1 - bias - man_bits);
+    return sign ? -v : v;
+  }
+  const float frac =
+      1.0f + static_cast<float>(m) / static_cast<float>(1u << man_bits);
+  const float v = std::ldexp(frac, static_cast<int>(e) - bias);
+  return sign ? -v : v;
+}
+
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+}  // namespace
+
+TEST(Formats, DecodeMatchesLdexpFormulaOnEveryPattern) {
+  for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+    ASSERT_EQ(bits(ldexp_widen(b, 5, 10, true)),
+              bits(sc::fp16_bits_to_fp32(static_cast<std::uint16_t>(b))))
+        << "fp16 0x" << std::hex << b;
+  }
+  for (std::uint32_t b = 0; b < (1u << 8); ++b) {
+    const auto b8 = static_cast<std::uint8_t>(b);
+    ASSERT_EQ(bits(ldexp_widen(b, 4, 3, false)),
+              bits(sc::fp8_e4m3_bits_to_fp32(b8)))
+        << "e4m3 0x" << std::hex << b;
+    ASSERT_EQ(bits(ldexp_widen(b, 5, 2, true)),
+              bits(sc::fp8_e5m2_bits_to_fp32(b8)))
+        << "e5m2 0x" << std::hex << b;
+  }
+}
 
 TEST(Fp16, KnownValues) {
   EXPECT_EQ(sc::fp32_to_fp16_bits(0.0f), 0x0000);

@@ -1,7 +1,12 @@
 // LIF dynamics, network construction, and the dense golden reference.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/float_formats.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "snn/input_gen.hpp"
 #include "snn/lif.hpp"
@@ -106,6 +111,63 @@ TEST(Network, QuantizeIsIdempotent) {
   const auto once = net.weights(1).v;
   net.quantize_weights(sc::FpFormat::FP8);
   EXPECT_EQ(once, net.weights(1).v);
+}
+
+TEST(Network, QuantizedWeightsIdenticalAcrossSimdTiers) {
+  // Every S-VGG11 layer's quantized v and half carry the same CRC32C under
+  // the scalar tier and the widest one, and both equal the element-wise
+  // formula: round each weight, then pack the rounded float.
+  namespace simd = sc::simd;
+  snn::Network base = snn::Network::make_svgg11();
+  sc::Rng rng(1);
+  base.init_weights(rng);
+  using Crcs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  auto crcs_of = [](const snn::Network& net) {
+    Crcs out;
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      const snn::LayerWeights& w = net.weights(l);
+      out.emplace_back(
+          simd::crc32c(w.v.data(), w.v.size() * sizeof(float)),
+          simd::crc32c(w.half.data(), w.half.size() * sizeof(std::uint16_t)));
+    }
+    return out;
+  };
+  for (const sc::FpFormat fmt : {sc::FpFormat::FP16, sc::FpFormat::FP8}) {
+    Crcs expect;
+    for (std::size_t l = 0; l < base.num_layers(); ++l) {
+      std::vector<float> v = base.weights(l).v;
+      std::vector<std::uint16_t> half(v.size());
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = sc::quantize(v[i], fmt);
+        half[i] = sc::fp32_to_fp16_bits(v[i]);
+      }
+      expect.emplace_back(
+          simd::crc32c(v.data(), v.size() * sizeof(float)),
+          simd::crc32c(half.data(), half.size() * sizeof(std::uint16_t)));
+    }
+    for (const simd::Tier tier : {simd::Tier::kScalar, simd::max_supported()}) {
+      simd::force_tier(tier);
+      snn::Network net = base;
+      net.quantize_weights(fmt);
+      simd::force_tier(simd::max_supported());
+      for (std::size_t l = 0; l < net.num_layers(); ++l) {
+        EXPECT_TRUE(net.weights(l).half_exact) << l;
+      }
+      EXPECT_EQ(expect, crcs_of(net))
+          << sc::fp_name(fmt) << " " << simd::tier_name(tier);
+    }
+  }
+}
+
+TEST(Network, Fp32WeightsKeepNoHalf) {
+  snn::Network net = snn::Network::make_tiny();
+  sc::Rng rng(9);
+  net.init_weights(rng);
+  net.quantize_weights(sc::FpFormat::FP32);
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    EXPECT_FALSE(net.weights(l).half_exact) << l;
+    EXPECT_TRUE(net.weights(l).half.empty()) << l;
+  }
 }
 
 TEST(Reference, ConvCurrentsManualExample) {
