@@ -315,51 +315,6 @@ int main() {
                 wsame ? "yes" : "NO (BUG)");
   }
 
-  // --- occupancy-adaptive re-planning at 8 clusters -------------------------
-  // The static hybrid plan freezes each layer's shard axis at an assumed
-  // density; the adaptive backend starts from the cold-start density (empty
-  // membranes), then re-picks the axis from the measured occupancy EMA after
-  // warmup (fc8 flips output-channel -> fan-in exactly once).
-  {
-    rt::BackendConfig stat = sharded_cfg(8, k::PartitionStrategy::kHybrid);
-    rt::BackendConfig adap = stat;
-    adap.replan.enabled = true;
-    const rt::InferenceEngine es(net, opt, stat);
-    const rt::InferenceEngine ea(net, opt, adap);
-    snn::NetworkState ss = es.make_state();
-    snn::NetworkState sa = ea.make_state();
-    rt::InferenceResult rs, ra;
-    const int steps = 5;
-    std::vector<double> fc_static(net.num_layers(), 0.0);
-    std::vector<double> fc_adapt(net.num_layers(), 0.0);
-    double tot_s = 0, tot_a = 0;
-    for (int t = 0; t < steps; ++t) {
-      es.run(img, ss, rs);
-      ea.run(img, sa, ra);
-      for (std::size_t l = 0; l < net.num_layers(); ++l) {
-        fc_static[l] += rs.layers[l].stats.cycles;
-        fc_adapt[l] += ra.layers[l].stats.cycles;
-      }
-      tot_s += rs.total_cycles;
-      tot_a += ra.total_cycles;
-    }
-    const auto* be = dynamic_cast<const rt::ShardedBackend*>(&ea.backend());
-    sc::Table r("occupancy-adaptive re-planning at 8 clusters (" +
-                std::to_string(steps) + " timesteps, cold start)");
-    r.set_header({"layer", "static kcyc", "adaptive kcyc", "axis", "flips",
-                  "density ema"});
-    for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      r.add_row({net.layer(l).name, sc::Table::num(fc_static[l] / 1e3, 2),
-                 sc::Table::num(fc_adapt[l] / 1e3, 2),
-                 k::shard_axis_name(be->active_axis(net.layer(l))),
-                 std::to_string(be->replan_flips(net.layer(l))),
-                 sc::Table::num(be->occupancy_ema(net.layer(l)), 3)});
-    }
-    r.print();
-    std::printf("  network total: static %.1f kcyc, adaptive %.1f kcyc\n",
-                tot_s / 1e3, tot_a / 1e3);
-  }
-
   // --- stage-parallel cluster pipeline on the deep tower --------------------
   // Contiguous layer ranges on disjoint cluster groups, coupled by finite
   // spike FIFOs.

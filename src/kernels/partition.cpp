@@ -14,8 +14,8 @@ namespace {
 int n_groups(int channels, int simd) { return (channels + simd - 1) / simd; }
 
 /// Largest extent of the even `s * count / active` split the range builders
-/// use, computed without materializing the ranges (the adaptive re-planner
-/// calls the estimates on the hot path and must not allocate).
+/// use, computed without materializing the ranges (the cost queries stay
+/// allocation-free).
 int max_even_split_extent(int count, int active) {
   active = std::max(1, std::min(active, count));
   int worst = 0;
@@ -41,9 +41,10 @@ int max_channel_slice_extent(int channels, int simd, int clusters) {
 }
 
 /// Estimated cycles of one conv/encode output position carrying `groups`
-/// SIMD output-channel groups, at planning density `density`.
+/// SIMD output-channel groups, at the planning density.
 double position_cost(const snn::LayerSpec& spec, const RunOptions& opt,
-                     int groups, double density) {
+                     int groups) {
+  const double density = Partitioner::kDefaultDensity;
   const CostParams& p = opt.cost;
   const int simd = common::simd_lanes(opt.fmt);
   const bool fp8 = opt.fmt == common::FpFormat::FP8;
@@ -165,8 +166,9 @@ std::vector<ShardRange> Partitioner::fanin_segments(int in_c, int simd,
   return channel_slices(in_c, simd, clusters);
 }
 
-double Partitioner::estimate_output_channel(const snn::LayerSpec& spec,
-                                            double density) const {
+double Partitioner::estimate_output_channel(
+    const snn::LayerSpec& spec) const {
+  const double density = kDefaultDensity;
   const CostParams& p = opt_.cost;
   const int simd = common::simd_lanes(opt_.fmt);
   const int worst_groups = n_groups(
@@ -184,13 +186,12 @@ double Partitioner::estimate_output_channel(const snn::LayerSpec& spec,
   }
   const double positions =
       static_cast<double>(spec.out_h()) * static_cast<double>(spec.out_w());
-  return positions * position_cost(spec, opt_, worst_groups, density) /
+  return positions * position_cost(spec, opt_, worst_groups) /
              std::max(1, opt_.cores) +
          p.icache_layer_warmup;
 }
 
-double Partitioner::estimate_ifmap_stripe(const snn::LayerSpec& spec,
-                                          double density) const {
+double Partitioner::estimate_ifmap_stripe(const snn::LayerSpec& spec) const {
   SPK_CHECK(spec.kind != snn::LayerKind::kFc,
             "ifmap stripes need spatial rows; FC layers use fan-in segments");
   const CostParams& p = opt_.cost;
@@ -199,15 +200,15 @@ double Partitioner::estimate_ifmap_stripe(const snn::LayerSpec& spec,
       static_cast<double>(max_even_split_extent(spec.out_h(), clusters_)) *
       spec.out_w();
   const int groups = n_groups(spec.out_c, simd);
-  return worst_positions * position_cost(spec, opt_, groups, density) /
+  return worst_positions * position_cost(spec, opt_, groups) /
              std::max(1, opt_.cores) +
          p.icache_layer_warmup;
 }
 
-double Partitioner::estimate_fanin(const snn::LayerSpec& spec,
-                                   double density) const {
+double Partitioner::estimate_fanin(const snn::LayerSpec& spec) const {
   SPK_CHECK(spec.kind == snn::LayerKind::kFc,
             "fan-in segmentation is an FC strategy");
+  const double density = kDefaultDensity;
   const CostParams& p = opt_.cost;
   const int simd = common::simd_lanes(opt_.fmt);
   const double nnz_shard =
@@ -236,15 +237,15 @@ double Partitioner::estimate_fanin(const snn::LayerSpec& spec,
   return accumulate + reduce + act + p.icache_layer_warmup;
 }
 
-double Partitioner::estimate_axis(const snn::LayerSpec& spec, ShardAxis axis,
-                                  double density) const {
+double Partitioner::estimate_axis(const snn::LayerSpec& spec,
+                                  ShardAxis axis) const {
   switch (axis) {
     case ShardAxis::kOutputChannel:
-      return estimate_output_channel(spec, density);
+      return estimate_output_channel(spec);
     case ShardAxis::kIfmapStripe:
-      return estimate_ifmap_stripe(spec, density);
+      return estimate_ifmap_stripe(spec);
     case ShardAxis::kFanIn:
-      return estimate_fanin(spec, density);
+      return estimate_fanin(spec);
   }
   return 0.0;
 }
@@ -276,8 +277,7 @@ LayerPlan Partitioner::make_axis_plan(const snn::LayerSpec& spec,
   return plan;
 }
 
-LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
-                                  double density) const {
+LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec) const {
   const bool fc = spec.kind == snn::LayerKind::kFc;
   if (clusters_ <= 1) {
     LayerPlan plan;
@@ -294,8 +294,8 @@ LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
     case PartitionStrategy::kHybrid:
       break;
   }
-  const double oc = estimate_output_channel(spec, density);
-  const double alt = estimate_axis(spec, alt_axis, density);
+  const double oc = estimate_output_channel(spec);
+  const double alt = estimate_axis(spec, alt_axis);
   // Prefer the historical axis unless the alternative is clearly ahead:
   // output-channel tiles conserve activity exactly and need no halo or
   // reduction bookkeeping, so a marginal estimate should not flip them.
@@ -312,14 +312,13 @@ LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
   return plan;
 }
 
-ShardPlan Partitioner::plan_network(const snn::Network& net,
-                                    double density) const {
+ShardPlan Partitioner::plan_network(const snn::Network& net) const {
   ShardPlan plan;
   plan.strategy = strategy_;
   plan.clusters = clusters_;
   plan.layers.reserve(net.num_layers());
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    plan.layers.push_back(plan_layer(net.layer(l), density));
+    plan.layers.push_back(plan_layer(net.layer(l)));
   }
   return plan;
 }
@@ -328,10 +327,9 @@ ShardPlan Partitioner::plan_network(const snn::Network& net,
 // Stage-parallel pipeline planning
 // ---------------------------------------------------------------------------
 
-double Partitioner::layer_cost(const snn::LayerSpec& spec, int group,
-                               double density) const {
+double Partitioner::layer_cost(const snn::LayerSpec& spec, int group) const {
   const Partitioner sub(opt_, std::max(1, group), strategy_);
-  const double oc = sub.estimate_output_channel(spec, density);
+  const double oc = sub.estimate_output_channel(spec);
   if (group <= 1) return oc;
   const ShardAxis alt_axis = spec.kind == snn::LayerKind::kFc
                                  ? ShardAxis::kFanIn
@@ -340,19 +338,19 @@ double Partitioner::layer_cost(const snn::LayerSpec& spec, int group,
     case PartitionStrategy::kOutputChannel:
       return oc;
     case PartitionStrategy::kIfmapStripe:
-      return sub.estimate_axis(spec, alt_axis, density);
+      return sub.estimate_axis(spec, alt_axis);
     case PartitionStrategy::kHybrid:
       break;
   }
   // Mirror plan_layer's hysteresis so the stage estimate prices the axis a
   // group-sized partitioner would actually execute with.
-  const double alt = sub.estimate_axis(spec, alt_axis, density);
+  const double alt = sub.estimate_axis(spec, alt_axis);
   return alt < 0.95 * oc ? alt : oc;
 }
 
 namespace {
 
-/// Estimated inter-stage handoff after `spec` at planning density: the
+/// Estimated inter-stage handoff after `spec` at the planning density: the
 /// boundary layer's compressed spike payload crossing the fabric to the next
 /// stage's owner plus the per-spike FIFO enqueue on the producer.
 struct HandoffEstimate {
@@ -362,11 +360,11 @@ struct HandoffEstimate {
 
 HandoffEstimate estimate_handoff(const snn::LayerSpec& spec,
                                  const RunOptions& opt,
-                                 const arch::NocParams& noc, double density) {
+                                 const arch::NocParams& noc) {
   const double elems = static_cast<double>(spec.out_h()) *
                        static_cast<double>(spec.out_w()) *
                        static_cast<double>(spec.out_c);
-  const double nnz = density * elems;
+  const double nnz = Partitioner::kDefaultDensity * elems;
   HandoffEstimate h;
   h.bytes = static_cast<double>(compress::CsrIfmap::footprint_from_count(
       static_cast<std::size_t>(nnz), spec.out_h(), spec.out_w()));
@@ -384,18 +382,15 @@ HandoffEstimate estimate_handoff(const snn::LayerSpec& spec,
 
 StagePlan Partitioner::plan_pipeline(const snn::Network& net,
                                      const PipelineConfig& cfg,
-                                     const arch::NocParams& noc,
-                                     double density) const {
+                                     const arch::NocParams& noc) const {
   SPK_CHECK(net.num_layers() > 0, "pipeline planning needs at least one layer");
   // Network stores its specs contiguously; plan over them directly.
-  return plan_pipeline(std::span(&net.layer(0), net.num_layers()), cfg, noc,
-                       density);
+  return plan_pipeline(std::span(&net.layer(0), net.num_layers()), cfg, noc);
 }
 
 StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
                                      const PipelineConfig& cfg,
-                                     const arch::NocParams& noc,
-                                     double density) const {
+                                     const arch::NocParams& noc) const {
   const int L = static_cast<int>(layers.size());
   SPK_CHECK(L > 0, "pipeline planning needs at least one layer");
   const int C = clusters_;
@@ -409,11 +404,10 @@ StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
     cost[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(C) + 1);
     for (int g = 1; g <= C; ++g) {
       cost[static_cast<std::size_t>(l)][static_cast<std::size_t>(g)] =
-          layer_cost(layers[static_cast<std::size_t>(l)], g, density);
+          layer_cost(layers[static_cast<std::size_t>(l)], g);
     }
     handoff[static_cast<std::size_t>(l)] =
-        estimate_handoff(layers[static_cast<std::size_t>(l)], opt_, noc,
-                         density);
+        estimate_handoff(layers[static_cast<std::size_t>(l)], opt_, noc);
   }
   const double dp_total = [&] {
     double t = 0;

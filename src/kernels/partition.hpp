@@ -75,38 +75,6 @@ struct ShardPlan {
   std::vector<LayerPlan> layers;  ///< one per network layer
 };
 
-/// Occupancy-adaptive re-planning (ShardedBackend): partition plans are
-/// normally frozen at an assumed planning density, but real per-layer
-/// occupancies drift — fc8's first, nearly-empty timestep prefers
-/// output-channel tiles while its charged-up steady state prefers fan-in
-/// segments. With re-planning enabled the backend tracks a per-layer
-/// occupancy EMA and, once `warmup_runs` executions have seeded it, re-ranks
-/// the shard axes at the *measured* density after every run; a flip only
-/// happens when the candidate axis beats the current one by the hysteresis
-/// margin, so plans cannot oscillate around a break-even density.
-struct ReplanConfig {
-  bool enabled = false;
-  /// Layer *executions* before the EMA is considered seeded — note this
-  /// counts every lane's run, not timesteps: a B-lane batch produces B
-  /// observations per timestep, so scale it by the lane count when the
-  /// warmup should span the near-empty leading timesteps of a batched
-  /// stream. Seeding purely from cold observations is benign (the initial
-  /// plan is already cold-optimal, so the re-rank keeps it), but the one
-  /// intended flip then waits on the EMA crossing the break-even, not on
-  /// this window.
-  int warmup_runs = 2;
-  /// EMA smoothing factor for the measured input density.
-  double ema_alpha = 0.25;
-  /// A candidate axis must beat the current axis's estimated cycles by this
-  /// factor (est_new < hysteresis * est_current) to trigger a plan swap.
-  double hysteresis = 0.95;
-  /// Planning density of the *initial* plans: membranes start empty, so the
-  /// leading timesteps run far below the steady-state densities the static
-  /// planner assumes. Re-planning then upgrades the plan once the measured
-  /// EMA is trusted.
-  double cold_density = 0.02;
-};
-
 /// FNV-1a over a layer's name + geometry: the key the plan caches use.
 /// Layers with equal signatures partition (and cost) identically.
 std::uint64_t layer_signature(const snn::LayerSpec& spec);
@@ -187,10 +155,10 @@ struct StagePlan {
 
 class Partitioner {
  public:
-  /// Assumed ifmap density at static plan time. Plans are computed once per
-  /// network, before any input exists; the paper's workloads fire in the
-  /// 10–30% range, and the axis ranking is insensitive to the exact value
-  /// (it cancels out of every term that scales with occupancy).
+  /// The one planning density. Plans are computed once per network, before
+  /// any input exists; the paper's workloads fire in the 10–30% range, and
+  /// the axis ranking is insensitive to the exact value (it cancels out of
+  /// every term that scales with occupancy).
   static constexpr double kDefaultDensity = 0.15;
 
   Partitioner(const RunOptions& opt, int clusters, PartitionStrategy strategy);
@@ -198,18 +166,9 @@ class Partitioner {
   PartitionStrategy strategy() const { return strategy_; }
   int clusters() const { return clusters_; }
 
-  /// Plan one layer at `density` (the hybrid strategy ranks axes with it;
-  /// the fixed strategies ignore it).
-  LayerPlan plan_layer(const snn::LayerSpec& spec,
-                       double density = kDefaultDensity) const;
-  ShardPlan plan_network(const snn::Network& net,
-                         double density = kDefaultDensity) const;
-
-  /// Build the plan for a specific shard axis (occupancy-adaptive
-  /// re-planning swaps axes explicitly instead of re-ranking through a
-  /// strategy). Falls back to a single output-channel shard when the axis
-  /// degenerates for this layer, exactly like plan_layer.
-  LayerPlan make_axis_plan(const snn::LayerSpec& spec, ShardAxis axis) const;
+  /// Plan one layer (the hybrid strategy ranks axes at kDefaultDensity).
+  LayerPlan plan_layer(const snn::LayerSpec& spec) const;
+  ShardPlan plan_network(const snn::Network& net) const;
 
   // --- shard range builders (exposed for tests) -----------------------------
 
@@ -225,30 +184,20 @@ class Partitioner {
                                                 int clusters);
 
   // --- planning-time cost queries (exposed for tests / benches) -------------
-  // Estimated layer cycles on `clusters()` clusters at planning density
-  // `density`, using the mechanistic cost-model constants. These rank axes;
-  // they are not predictions of any particular input's cycle count. All
-  // three are allocation-free (shard extents are computed arithmetically,
-  // no range vectors are built), so the adaptive re-planner can re-rank
-  // axes on the steady-state hot path without touching the heap.
+  // Estimated layer cycles on `clusters()` clusters at kDefaultDensity, using
+  // the mechanistic cost-model constants. These rank axes; they are not
+  // predictions of any particular input's cycle count. All three are
+  // allocation-free: shard extents are computed arithmetically, no range
+  // vectors are built.
 
-  double estimate_output_channel(const snn::LayerSpec& spec,
-                                 double density = kDefaultDensity) const;
-  double estimate_ifmap_stripe(const snn::LayerSpec& spec,
-                               double density = kDefaultDensity) const;
-  double estimate_fanin(const snn::LayerSpec& spec,
-                        double density = kDefaultDensity) const;
-
-  /// Estimated cycles of `axis` for this layer at `density` (dispatch over
-  /// the three estimates above).
-  double estimate_axis(const snn::LayerSpec& spec, ShardAxis axis,
-                       double density) const;
+  double estimate_output_channel(const snn::LayerSpec& spec) const;
+  double estimate_ifmap_stripe(const snn::LayerSpec& spec) const;
+  double estimate_fanin(const snn::LayerSpec& spec) const;
 
   /// Estimated per-sample cycles of `spec` sharded across a `group`-cluster
   /// stage under this partitioner's strategy (the axis a group-sized
   /// partitioner would execute with). Allocation-free.
-  double layer_cost(const snn::LayerSpec& spec, int group,
-                    double density = kDefaultDensity) const;
+  double layer_cost(const snn::LayerSpec& spec, int group) const;
 
   /// Choose between data-parallel sharding, stage-parallel pipelining and a
   /// hybrid for `net`: balance contiguous layer ranges across candidate
@@ -257,8 +206,7 @@ class Partitioner {
   /// amortized over cfg.batch_lanes in-flight samples. cfg.mode != kAuto
   /// restricts the candidates to that mode's shape.
   StagePlan plan_pipeline(const snn::Network& net, const PipelineConfig& cfg,
-                          const arch::NocParams& noc,
-                          double density = kDefaultDensity) const;
+                          const arch::NocParams& noc) const;
 
   /// Same planning over a bare layer list. Degraded-mode re-planning uses
   /// this: the sharded backend keeps the prepared specs (not the Network)
@@ -266,10 +214,16 @@ class Partitioner {
   /// after a fail-stop.
   StagePlan plan_pipeline(std::span<const snn::LayerSpec> layers,
                           const PipelineConfig& cfg,
-                          const arch::NocParams& noc,
-                          double density = kDefaultDensity) const;
+                          const arch::NocParams& noc) const;
 
  private:
+  /// Estimated cycles of `axis` for this layer (dispatch over the three
+  /// estimates above).
+  double estimate_axis(const snn::LayerSpec& spec, ShardAxis axis) const;
+  /// Build the plan for a specific shard axis. Falls back to a single
+  /// output-channel shard when the axis degenerates for this layer.
+  LayerPlan make_axis_plan(const snn::LayerSpec& spec, ShardAxis axis) const;
+
   RunOptions opt_;
   int clusters_;
   PartitionStrategy strategy_;

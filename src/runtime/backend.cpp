@@ -106,9 +106,7 @@ std::unique_ptr<ExecutionBackend> make_backend(
     case BackendKind::kCycleAccurate:
       return std::make_unique<CycleAccurateBackend>(opt, cfg.iss_sample_spvas);
     case BackendKind::kSharded:
-      return std::make_unique<ShardedBackend>(
-          opt, cfg.clusters, cfg.shard_threads, cfg.partition, cfg.noc,
-          std::move(pool), cfg.shard_min_work, cfg.replan, cfg.pipeline);
+      return std::make_unique<ShardedBackend>(opt, cfg, std::move(pool));
   }
   SPK_CHECK(false, "unknown backend kind");
   return nullptr;

@@ -71,20 +71,11 @@ struct BackendConfig {
   /// counted (KernelStats::noc_bytes, priced by the energy model); enabling
   /// `noc.model_contention` additionally lets it gate layer wall-clock.
   arch::NocParams noc;
-  /// ShardedBackend: occupancy-adaptive re-planning (see
-  /// kernels::ReplanConfig). Initial plans assume the cold-start density;
-  /// after the warmup window the measured per-layer occupancy EMA re-ranks
-  /// the shard axes and swaps a layer's plan when the better axis clears
-  /// the hysteresis margin. Off by default: re-planning makes modeled
-  /// cycles depend on the density history the backend has observed, which
-  /// the exact-mode parity tests forbid.
-  kernels::ReplanConfig replan;
   /// ShardedBackend: stage-parallel pipelining (see kernels::PipelineConfig).
   /// When enabled, prepare() partitions the network's layers into pipeline
   /// stages over cluster groups (or keeps one data-parallel stage when that
   /// costs less), prices each layer at its group width and charges the
   /// boundary FIFO handoffs. Off by default (historical behavior, bit-exact).
-  /// Enabling it disables occupancy-adaptive re-planning.
   kernels::PipelineConfig pipeline;
   /// CycleAccurateBackend: SpVAs per ISS calibration run (larger = tighter
   /// amortization of the microkernel prologue, slower calibration).

@@ -1,6 +1,7 @@
 #include "runtime/backend_sharded.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/float_formats.hpp"
@@ -61,21 +62,16 @@ void unslice_rows(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
 
 }  // namespace
 
-ShardedBackend::ShardedBackend(const kernels::RunOptions& opt, int clusters,
-                               bool use_threads,
-                               kernels::PartitionStrategy strategy,
-                               const arch::NocParams& noc,
-                               std::shared_ptr<WorkerPool> pool, int min_work,
-                               const kernels::ReplanConfig& replan,
-                               const kernels::PipelineConfig& pipeline)
+ShardedBackend::ShardedBackend(const kernels::RunOptions& opt,
+                               const BackendConfig& cfg,
+                               std::shared_ptr<WorkerPool> pool)
     : ExecutionBackend(opt),
-      clusters_(std::max(1, clusters)),
-      threads_(use_threads),
-      min_work_(std::max(0, min_work)),
-      partitioner_(opt, std::max(1, clusters), strategy),
-      noc_(noc),
-      replan_(replan),
-      pipeline_(pipeline),
+      clusters_(std::max(1, cfg.clusters)),
+      threads_(cfg.shard_threads),
+      min_work_(std::max(0, cfg.shard_min_work)),
+      partitioner_(opt, clusters_, cfg.partition),
+      noc_(cfg.noc),
+      pipeline_(cfg.pipeline),
       pool_(std::move(pool)) {
   if (threads_ && pool_ == nullptr) {
     pool_ = std::make_shared<WorkerPool>(clusters_ - 1);
@@ -83,24 +79,6 @@ ShardedBackend::ShardedBackend(const kernels::RunOptions& opt, int clusters,
   active_clusters_.store(clusters_, std::memory_order_relaxed);
   for (auto& s : slowdown_) s.store(1.0, std::memory_order_relaxed);
   for (auto& d : link_derate_) d.store(1.0, std::memory_order_relaxed);
-}
-
-double ShardedBackend::initial_plan_density() const {
-  // Adaptive mode plans for the cold start (membranes are empty, the first
-  // timesteps run far below steady-state density); the measured EMA upgrades
-  // the plan after warmup. Static mode keeps the historical assumption.
-  return replan_.enabled ? replan_.cold_density
-                         : kernels::Partitioner::kDefaultDensity;
-}
-
-std::vector<std::pair<int, int>> ShardedBackend::slices(int out_c) const {
-  const int simd = common::simd_lanes(opt_.fmt);
-  std::vector<std::pair<int, int>> sl;
-  for (const kernels::ShardRange& r :
-       kernels::Partitioner::channel_slices(out_c, simd, clusters_)) {
-    sl.emplace_back(r.lo, r.hi);
-  }
-  return sl;
 }
 
 std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
@@ -120,9 +98,9 @@ std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
   const int width = active_clusters_.load(std::memory_order_relaxed);
   kernels::LayerPlan plan =
       width == clusters_
-          ? partitioner_.plan_layer(spec, initial_plan_density())
+          ? partitioner_.plan_layer(spec)
           : kernels::Partitioner(opt_, width, partitioner_.strategy())
-                .plan_layer(spec, initial_plan_density());
+                .plan_layer(spec);
   return plans_
       .emplace(sig, std::make_shared<const kernels::LayerPlan>(std::move(plan)))
       .first->second;
@@ -131,172 +109,61 @@ std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
 const kernels::LayerPlan& ShardedBackend::plan_for(
     const snn::LayerSpec& spec) const {
   // The handle keeps the plan's refcount in the cache; the reference stays
-  // valid until a re-plan swap replaces it (see the header note).
+  // valid until a fail-stop re-plan replaces it (see the header note).
   return *plan_handle(spec);
-}
-
-void ShardedBackend::observe_density(const snn::LayerSpec& spec,
-                                     std::size_t in_nnz,
-                                     std::size_t in_elems) const {
-  // Stage mode freezes plans at the stage grouping prepare() chose: an
-  // adaptive axis flip would re-plan the layer at the *full* cluster count
-  // and silently widen a stage's group, so re-planning is disabled whenever
-  // the pipeline is armed.
-  if (pipeline_.enabled) return;
-  if (!replan_.enabled || clusters_ <= 1 || in_elems == 0) return;
-  // Degraded mode freezes occupancy-adaptive re-planning: the member
-  // partitioner estimates (and make_axis_plan) work at the full cluster
-  // count, so an adaptive flip after a fail-stop would silently re-widen the
-  // plan onto dead clusters. Plans were re-picked at fault time with the
-  // then-current EMA; that choice stands until the fleet heals — this is
-  // also what makes the degrade re-plan flip exactly once per fault.
-  if (active_clusters_.load(std::memory_order_relaxed) != clusters_) return;
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  AdaptiveState* st;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    st = &adaptive_[sig];  // node-stable; first touch inserts
-  }
-  const double density =
-      static_cast<double>(in_nnz) / static_cast<double>(in_elems);
-  std::lock_guard<std::mutex> lock(st->mu);
-  if (st->runs == 0) st->axis = plan_for(spec).axis;
-  st->ema = st->ema < 0.0
-                ? density
-                : st->ema + replan_.ema_alpha * (density - st->ema);
-  ++st->runs;
-  if (st->runs < replan_.warmup_runs) return;
-  const kernels::ShardAxis current = st->axis;
-  // Re-rank the two viable axes at the measured density (allocation-free
-  // estimates). The alternative must clear the hysteresis margin to win;
-  // at a stable density the winner is then also hysteresis-stable, so the
-  // plan cannot oscillate around a break-even point.
-  const kernels::ShardAxis alt = spec.kind == snn::LayerKind::kFc
-                                     ? kernels::ShardAxis::kFanIn
-                                     : kernels::ShardAxis::kIfmapStripe;
-  const kernels::ShardAxis candidate =
-      current == kernels::ShardAxis::kOutputChannel
-          ? alt
-          : kernels::ShardAxis::kOutputChannel;
-  const double est_cur = partitioner_.estimate_axis(spec, current, st->ema);
-  const double est_new = partitioner_.estimate_axis(spec, candidate, st->ema);
-  if (est_new >= replan_.hysteresis * est_cur) return;
-  // Build and swap the new plan while still holding the per-layer lock:
-  // concurrent observers of the same layer must see axis bookkeeping and
-  // cached plan move together, or two racing flips could land their swaps
-  // out of order and leave st->axis disagreeing with the executing plan
-  // forever. A flip is rare (at most one per density regime), so the
-  // allocation stays off the steady path; lock order st->mu -> plan_mu_ is
-  // safe because no path acquires st->mu while holding plan_mu_.
-  // Degenerate candidates collapse to a single output-channel shard inside
-  // make_axis_plan, exactly like the static planner.
-  auto next = std::make_shared<const kernels::LayerPlan>(
-      partitioner_.make_axis_plan(spec, candidate));
-  if (next->axis == current) return;  // candidate degenerated: keep the plan
-  st->axis = next->axis;
-  ++st->flips;
-  std::unique_lock<std::shared_mutex> plock(plan_mu_);
-  plans_[sig] = std::move(next);
-}
-
-int ShardedBackend::replan_flips(const snn::LayerSpec& spec) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  AdaptiveState* st = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    const auto it = adaptive_.find(sig);
-    if (it == adaptive_.end()) return 0;
-    st = &it->second;  // node-stable
-  }
-  std::lock_guard<std::mutex> lock(st->mu);
-  return st->flips;
-}
-
-kernels::ShardAxis ShardedBackend::active_axis(
-    const snn::LayerSpec& spec) const {
-  return plan_for(spec).axis;
-}
-
-double ShardedBackend::occupancy_ema(const snn::LayerSpec& spec) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  AdaptiveState* st = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    const auto it = adaptive_.find(sig);
-    if (it == adaptive_.end()) return -1.0;
-    st = &it->second;  // node-stable
-  }
-  std::lock_guard<std::mutex> lock(st->mu);
-  return st->ema;
 }
 
 // ---------------------------------------------------------------------------
 // Fault injection / degraded mode
 // ---------------------------------------------------------------------------
 
-double ShardedBackend::planning_density(std::uint64_t sig) const {
-  AdaptiveState* st = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    const auto it = adaptive_.find(sig);
-    if (it != adaptive_.end()) st = &it->second;  // node-stable
+void ShardedBackend::pin_stage_plans(
+    const kernels::Partitioner& part,
+    std::span<const snn::LayerSpec> specs) const {
+  kernels::StagePlan sp = part.plan_pipeline(specs, pipeline_, noc_);
+  std::unique_lock<std::shared_mutex> lock(plan_mu_);
+  stage_plan_ = std::move(sp);
+  stage_info_.clear();
+  for (int s = 0; s < stage_plan_.num_stages(); ++s) {
+    const kernels::PipelineStage& st =
+        stage_plan_.stages[static_cast<std::size_t>(s)];
+    const kernels::Partitioner group_part(opt_, st.clusters(),
+                                          partitioner_.strategy());
+    for (int l = st.layer_lo; l < st.layer_hi; ++l) {
+      const snn::LayerSpec& spec = specs[static_cast<std::size_t>(l)];
+      StageInfo info;
+      info.stage = s;
+      info.cluster_lo = st.cluster_lo;
+      info.group = st.clusters();
+      info.boundary = s + 1 < stage_plan_.num_stages() && l == st.layer_hi - 1;
+      info.next_cluster_lo =
+          info.boundary
+              ? stage_plan_.stages[static_cast<std::size_t>(s + 1)].cluster_lo
+              : 0;
+      const std::uint64_t sig = kernels::layer_signature(spec);
+      stage_info_[sig] = info;
+      plans_[sig] = std::make_shared<const kernels::LayerPlan>(
+          group_part.plan_layer(spec));
+    }
   }
-  if (st != nullptr) {
-    std::lock_guard<std::mutex> lock(st->mu);
-    if (st->ema >= 0.0) return st->ema;
-  }
-  return initial_plan_density();
 }
 
 void ShardedBackend::replan_for_width(int width) const {
   if (prepared_specs_.empty()) return;  // nothing prepared: cold misses will
                                         // plan at the active width anyway
-  kernels::Partitioner part(opt_, width, partitioner_.strategy());
+  const kernels::Partitioner part(opt_, width, partitioner_.strategy());
   if (pipeline_.enabled && stage_plan_.num_stages() > 0) {
-    // Stage mode: re-balance the whole pipeline at the surviving width, then
+    // Stage mode: re-balance the whole pipeline at the surviving width and
     // re-pin every member layer's plan at its new group size — the same
-    // shape prepare() built, one cluster narrower. Adaptive EMAs are never
-    // seeded in stage mode, so the planning density matches prepare()'s.
-    kernels::StagePlan sp = part.plan_pipeline(
-        std::span<const snn::LayerSpec>(prepared_specs_), pipeline_, noc_,
-        initial_plan_density());
-    std::unique_lock<std::shared_mutex> lock(plan_mu_);
-    stage_plan_ = std::move(sp);
-    stage_info_.clear();
-    for (int s = 0; s < stage_plan_.num_stages(); ++s) {
-      const kernels::PipelineStage& st =
-          stage_plan_.stages[static_cast<std::size_t>(s)];
-      kernels::Partitioner group_part(opt_, st.clusters(),
-                                      partitioner_.strategy());
-      for (int l = st.layer_lo; l < st.layer_hi; ++l) {
-        const snn::LayerSpec& spec =
-            prepared_specs_[static_cast<std::size_t>(l)];
-        StageInfo info;
-        info.stage = s;
-        info.cluster_lo = st.cluster_lo;
-        info.group = st.clusters();
-        info.boundary =
-            s + 1 < stage_plan_.num_stages() && l == st.layer_hi - 1;
-        info.next_cluster_lo =
-            info.boundary
-                ? stage_plan_.stages[static_cast<std::size_t>(s + 1)].cluster_lo
-                : 0;
-        const std::uint64_t sig = kernels::layer_signature(spec);
-        stage_info_[sig] = info;
-        plans_[sig] = std::make_shared<const kernels::LayerPlan>(
-            group_part.plan_layer(spec, initial_plan_density()));
-      }
-    }
+    // shape prepare() built, one cluster narrower.
+    pin_stage_plans(part, prepared_specs_);
     return;
   }
   for (const snn::LayerSpec& spec : prepared_specs_) {
-    const std::uint64_t sig = kernels::layer_signature(spec);
-    // Measured density where one is seeded: the degraded plan should serve
-    // the traffic the layer actually sees, not the cold-start assumption.
-    auto next = std::make_shared<const kernels::LayerPlan>(
-        part.plan_layer(spec, planning_density(sig)));
+    auto next =
+        std::make_shared<const kernels::LayerPlan>(part.plan_layer(spec));
     std::unique_lock<std::shared_mutex> lock(plan_mu_);
-    plans_[sig] = std::move(next);
+    plans_[kernels::layer_signature(spec)] = std::move(next);
   }
 }
 
@@ -365,61 +232,15 @@ void ShardedBackend::prepare(const snn::Network& net) const {
     // at its stage's group width: the plan cache then serves group-sized
     // plans on the hot path with no stage-awareness. Layers outside the
     // prepared network (unknown signatures) still fall back to full-width
-    // plans via plan_handle, exactly like before.
-    kernels::StagePlan sp = partitioner_.plan_pipeline(
-        net, pipeline_, noc_, initial_plan_density());
-    std::unique_lock<std::shared_mutex> lock(plan_mu_);
-    stage_plan_ = std::move(sp);
-    stage_info_.clear();
-    for (int s = 0; s < stage_plan_.num_stages(); ++s) {
-      const kernels::PipelineStage& st =
-          stage_plan_.stages[static_cast<std::size_t>(s)];
-      kernels::Partitioner group_part(opt_, st.clusters(),
-                                      partitioner_.strategy());
-      for (int l = st.layer_lo; l < st.layer_hi; ++l) {
-        const snn::LayerSpec& spec = net.layer(static_cast<std::size_t>(l));
-        StageInfo info;
-        info.stage = s;
-        info.cluster_lo = st.cluster_lo;
-        info.group = st.clusters();
-        info.boundary =
-            s + 1 < stage_plan_.num_stages() && l == st.layer_hi - 1;
-        info.next_cluster_lo =
-            info.boundary
-                ? stage_plan_.stages[static_cast<std::size_t>(s + 1)].cluster_lo
-                : 0;
-        const std::uint64_t sig = kernels::layer_signature(spec);
-        stage_info_[sig] = info;
-        plans_[sig] = std::make_shared<const kernels::LayerPlan>(
-            group_part.plan_layer(spec, initial_plan_density()));
-      }
-    }
+    // plans via plan_handle.
+    pin_stage_plans(partitioner_,
+                    std::span(&net.layer(0), net.num_layers()));
   }
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const snn::LayerSpec& spec = net.layer(l);
-    const kernels::LayerPlan& plan = plan_for(spec);
+    const kernels::LayerPlan& plan = plan_for(net.layer(l));
     if (plan.axis == kernels::ShardAxis::kOutputChannel && plan.n() > 1) {
       for (const kernels::ShardRange& r : plan.shards) {
         shard_weights(net.weights(l), r.lo, r.hi);
-      }
-    }
-    if (replan_.enabled && !pipeline_.enabled) {
-      // Pre-create the adaptive bookkeeping (and the output-channel weight
-      // slices a later flip might need), so steady-state observation never
-      // builds map nodes and a flip to output-channel never copies weights
-      // on the hot path.
-      {
-        std::lock_guard<std::mutex> lock(adaptive_mu_);
-        adaptive_[kernels::layer_signature(spec)].axis = plan.axis;
-      }
-      if (plan.axis != kernels::ShardAxis::kOutputChannel && clusters_ > 1) {
-        const kernels::LayerPlan oc = partitioner_.make_axis_plan(
-            spec, kernels::ShardAxis::kOutputChannel);
-        if (oc.axis == kernels::ShardAxis::kOutputChannel && oc.n() > 1) {
-          for (const kernels::ShardRange& r : oc.shards) {
-            shard_weights(net.weights(l), r.lo, r.hi);
-          }
-        }
       }
     }
   }
@@ -431,43 +252,21 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     const snn::LayerSpec& spec = net.layer(l);
     const kernels::LayerPlan& plan = plan_for(spec);
-    // With re-planning the layer may flip to its alternative axis later
-    // (FC: fan-in <-> output-channel, conv/encode: stripe <-> output-
-    // channel); presize the lanes for whichever plan needs more so the swap
-    // does not grow arenas mid-run.
-    kernels::LayerPlan alt;
-    if (replan_.enabled && !pipeline_.enabled && clusters_ > 1) {
-      const kernels::ShardAxis other =
-          plan.axis == kernels::ShardAxis::kOutputChannel
-              ? (spec.kind == snn::LayerKind::kFc
-                     ? kernels::ShardAxis::kFanIn
-                     : kernels::ShardAxis::kIfmapStripe)
-              : kernels::ShardAxis::kOutputChannel;
-      alt = partitioner_.make_axis_plan(spec, other);
-    }
-    const std::size_t lanes_needed = std::max(plan.n(), alt.n());
-    if (lanes_needed <= 1) continue;
+    if (plan.n() <= 1) continue;
     kernels::LayerScratch& scratch = state.scratch(l);
-    if (scratch.lanes.size() < lanes_needed) {
-      scratch.lanes.resize(lanes_needed);
-    }
-    auto reserve_stripes = [&](const kernels::LayerPlan& p) {
-      if (p.axis != kernels::ShardAxis::kIfmapStripe) return;
-      for (std::size_t s = 0; s < p.n(); ++s) {
+    if (scratch.lanes.size() < plan.n()) scratch.lanes.resize(plan.n());
+    for (std::size_t s = 0; s < plan.n(); ++s) {
+      scratch.lanes[s].ks.rows.reserve(spec.fan_in());
+      if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
         // Halo'd input stripe, zero-sparsity worst case.
         const std::size_t in_rows =
-            static_cast<std::size_t>(p.shards[s].extent() + spec.k - 1);
+            static_cast<std::size_t>(plan.shards[s].extent() + spec.k - 1);
         const std::size_t positions =
             in_rows * static_cast<std::size_t>(spec.in_w);
         scratch.lanes[s].csr.reserve(
             positions, positions * static_cast<std::size_t>(spec.in_c));
       }
-    };
-    for (std::size_t s = 0; s < lanes_needed; ++s) {
-      scratch.lanes[s].ks.rows.reserve(spec.fan_in());
     }
-    reserve_stripes(plan);
-    reserve_stripes(alt);
   }
 }
 
@@ -882,9 +681,6 @@ const kernels::LayerRun& ShardedBackend::run_conv(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  observe_density(spec, ifmap.nnz(),
-                  static_cast<std::size_t>(spec.in_h) * spec.in_w *
-                      static_cast<std::size_t>(spec.in_c));
   const auto plan_ref = plan_handle(spec);  // pinned for this run
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
@@ -914,7 +710,6 @@ const kernels::LayerRun& ShardedBackend::run_fc(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  observe_density(spec, ifmap.nnz(), static_cast<std::size_t>(spec.in_c));
   const auto plan_ref = plan_handle(spec);  // pinned for this run
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
@@ -941,9 +736,7 @@ const kernels::LayerRun& ShardedBackend::run_encode(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const snn::Tensor& padded_image, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  // The encode layer's dense input has density 1.0 by construction; there is
-  // nothing for the occupancy re-planner to observe.
-  const auto plan_ref = plan_handle(spec);
+  const auto plan_ref = plan_handle(spec);  // pinned for this run
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
   if (plan.n() <= 1) {

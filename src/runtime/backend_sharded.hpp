@@ -1,8 +1,9 @@
 // Multi-cluster sharded backend, rebuilt on the partition-plan subsystem
 // (kernels/partition.hpp): each layer executes according to an immutable
 // LayerPlan — output-channel tiles, spatial ifmap stripes, or FC fan-in
-// segments — computed once per network (cost-model-driven for the hybrid
-// strategy) and cached by layer signature. Shards run on the persistent
+// segments — computed once per network at Partitioner::kDefaultDensity
+// (cost-model-driven for the hybrid strategy) and cached by layer signature;
+// only a cluster fail-stop replaces a plan. Shards run on the persistent
 // WorkerPool (shared with BatchRunner when the engine provides one), in
 // per-cluster ShardLanes of the borrowed LayerScratch, so steady-state shard
 // fan-out performs zero heap allocations in both serial and pooled mode.
@@ -19,8 +20,10 @@
 // Per-cluster KernelStats merge with wall-clock = max and activity = sum;
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
 // partial reductions) is recorded in KernelStats::noc_bytes and — when
-// NocParams::model_contention is set — charged against the shared-bandwidth
-// ceiling of arch/noc.hpp instead of assuming a perfect crossbar.
+// NocParams::model_contention is set — gates the layer's wall-clock instead
+// of assuming a perfect crossbar: against the shared-bandwidth ceiling under
+// the legacy topology, or per link through arch::NocModel under a
+// link-level topology (crossbar, quadrant ring).
 #pragma once
 
 #include <array>
@@ -29,8 +32,8 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "arch/noc.hpp"
@@ -43,20 +46,13 @@ namespace spikestream::runtime {
 
 class ShardedBackend : public ExecutionBackend {
  public:
-  /// `pool` = null creates a private pool sized for `clusters` (when
-  /// `use_threads`); passing the engine's pool shares one set of threads
-  /// between shard fan-out and batch-sample fan-out. Layers with fewer
-  /// output elements than `min_work` run their shards on the submitting
-  /// thread even in pooled mode (host-side cutoff, bit-identical results).
-  ShardedBackend(const kernels::RunOptions& opt, int clusters,
-                 bool use_threads = true,
-                 kernels::PartitionStrategy strategy =
-                     kernels::PartitionStrategy::kOutputChannel,
-                 const arch::NocParams& noc = {},
-                 std::shared_ptr<WorkerPool> pool = nullptr,
-                 int min_work = 32 * 1024,
-                 const kernels::ReplanConfig& replan = {},
-                 const kernels::PipelineConfig& pipeline = {});
+  /// Reads the ShardedBackend fields of `cfg` (clusters, shard_threads,
+  /// shard_min_work, partition, noc, pipeline). `pool` = null creates a
+  /// private pool sized for the cluster count (when cfg.shard_threads);
+  /// passing the engine's pool shares one set of threads between shard
+  /// fan-out and batch-sample fan-out.
+  ShardedBackend(const kernels::RunOptions& opt, const BackendConfig& cfg,
+                 std::shared_ptr<WorkerPool> pool = nullptr);
 
   const char* name() const override { return "sharded"; }
   int num_clusters() const override { return clusters_; }
@@ -107,30 +103,16 @@ class ShardedBackend : public ExecutionBackend {
   using ExecutionBackend::run_fc;
 
   /// The (cached) partition plan of one layer. Exposed for benches/tests.
-  /// With adaptive re-planning the returned reference is only valid until
-  /// the next run swaps this layer's plan — hold the value, not the ref,
-  /// across runs.
+  /// The returned reference is valid until a fail_cluster() swaps this
+  /// layer's plan — hold the value, not the ref, across a fault.
   const kernels::LayerPlan& plan_for(const snn::LayerSpec& spec) const;
-
-  // --- occupancy-adaptive re-planning (BackendConfig::replan) ---------------
-
-  /// How often this layer's shard axis has been swapped by the re-planner.
-  int replan_flips(const snn::LayerSpec& spec) const;
-  /// The layer's current shard axis (== plan_for(spec).axis).
-  kernels::ShardAxis active_axis(const snn::LayerSpec& spec) const;
-  /// The layer's current occupancy EMA (-1 before the first observation).
-  double occupancy_ema(const snn::LayerSpec& spec) const;
-
-  /// Legacy view of the output-channel ranges for a layer with `out_c`
-  /// channels (SIMD-group aligned). Exposed for tests.
-  std::vector<std::pair<int, int>> slices(int out_c) const;
 
   // --- fault injection / degraded mode (runtime/faults.hpp) -----------------
   // All const (the backend is shared const on the hot path) and thread-safe:
-  // structural faults mutate the same copy-on-write plan cache the adaptive
-  // re-planner uses, so in-flight waves keep their pinned plans and the next
-  // dispatch picks up the degraded ones. Cluster ids below are *active slot*
-  // ids: after a fail-stop the survivors are renumbered into the dense
+  // a fail-stop swaps plans in the copy-on-write plan cache, so in-flight
+  // waves keep their pinned plans and the next dispatch picks up the
+  // degraded ones. Cluster ids below are *active slot* ids: after a
+  // fail-stop the survivors are renumbered into the dense
   // [0, active_clusters()) range the re-planned shards execute on.
 
   /// Fail-stop: mask `cluster` out of the active set and re-pick every
@@ -154,8 +136,7 @@ class ShardedBackend : public ExecutionBackend {
   }
   int failed_clusters() const { return clusters_ - active_clusters(); }
   /// Degraded-mode re-plan passes completed — exactly one per accepted
-  /// fail_cluster(), never more (the no-oscillation guarantee: occupancy-
-  /// adaptive re-planning freezes while degraded).
+  /// fail_cluster(), never more (plans change at no other time).
   int degrade_replans() const {
     return degrade_replans_.load(std::memory_order_relaxed);
   }
@@ -254,43 +235,24 @@ class ShardedBackend : public ExecutionBackend {
   using WeightKey = std::tuple<const float*, std::size_t, int, int, int, int>;
 
   /// Current plan by copyable handle: the dispatch path pins the plan it
-  /// executes with for the whole layer run, so the adaptive re-planner can
-  /// swap in a new plan concurrently without invalidating in-flight shards
+  /// executes with for the whole layer run, so a fail-stop re-plan can swap
+  /// in a new plan concurrently without invalidating in-flight shards
   /// (copy-on-write — the old plan lives until its last holder drops it).
   std::shared_ptr<const kernels::LayerPlan> plan_handle(
       const snn::LayerSpec& spec) const;
 
-  /// Adaptive re-planning bookkeeping of one layer. The mutex serializes
-  /// EMA updates from concurrent batch workers; the replan decision itself
-  /// is two allocation-free cost-model evaluations, so the steady-state
-  /// (non-flipping) path stays heap-free.
-  struct AdaptiveState {
-    std::mutex mu;
-    double ema = -1.0;  ///< measured input-density EMA, -1 = unseeded
-    long runs = 0;
-    int flips = 0;
-    kernels::ShardAxis axis = kernels::ShardAxis::kOutputChannel;
-  };
-
-  /// Record one observed input density for `spec` and re-rank its shard
-  /// axes once the warmup window has passed; swaps the cached plan (and
-  /// counts a flip) when the candidate clears the hysteresis margin. No-op
-  /// unless replan_.enabled.
-  void observe_density(const snn::LayerSpec& spec, std::size_t in_nnz,
-                       std::size_t in_elems) const;
-
-  double initial_plan_density() const;
+  /// Stage mode: balance `specs` into a pipeline over `part`'s cluster count
+  /// and pin every member layer's plan at its stage's group width (stage
+  /// assignment and plans swap together under plan_mu_).
+  void pin_stage_plans(const kernels::Partitioner& part,
+                       std::span<const snn::LayerSpec> specs) const;
 
   // --- degraded-mode internals ----------------------------------------------
 
   /// Re-pick every prepared layer's plan over `width` clusters (COW swap
-  /// under plan_mu_; stage mode re-balances the pipeline first). Plans use
-  /// the layer's measured density EMA when one is seeded, the initial
-  /// planning density otherwise. Caller holds fault_mu_.
+  /// under plan_mu_; stage mode re-balances the pipeline first) — the plans
+  /// a fresh `width`-cluster backend would build. Caller holds fault_mu_.
   void replan_for_width(int width) const;
-  /// The layer's measured density EMA when seeded, initial_plan_density()
-  /// otherwise — what degraded re-planning plans at.
-  double planning_density(std::uint64_t sig) const;
   /// Straggler factor of one active cluster slot (1.0 = healthy). One
   /// relaxed flag load on the healthy hot path.
   double shard_slowdown(int cluster) const {
@@ -323,7 +285,6 @@ class ShardedBackend : public ExecutionBackend {
   int min_work_;  ///< output elements below which fan-out stays serial
   kernels::Partitioner partitioner_;
   arch::NocParams noc_;
-  kernels::ReplanConfig replan_;
   kernels::PipelineConfig pipeline_;
   /// Stage assignment of the prepared network (stage mode only). Written
   /// once under plan_mu_ by prepare(); map nodes are stable, so post-prepare
@@ -335,20 +296,16 @@ class ShardedBackend : public ExecutionBackend {
   mutable std::map<WeightKey, snn::LayerWeights> weight_cache_;
   /// Reader-writer lock: after prepare() the plan cache is read-only on the
   /// hot path (one shared acquisition per layer dispatch); the exclusive
-  /// side only runs for specs never planned before — or for a re-plan swap.
+  /// side only runs for specs never planned before — or for a fail-stop
+  /// re-plan swap.
   mutable std::shared_mutex plan_mu_;
   mutable std::map<std::uint64_t, std::shared_ptr<const kernels::LayerPlan>>
       plans_;
-  /// node-stable map: AdaptiveState holds a mutex and must not move.
-  /// adaptive_mu_ guards the map structure only (find / first-touch insert);
-  /// per-layer updates serialize on the entry's own mutex.
-  mutable std::mutex adaptive_mu_;
-  mutable std::map<std::uint64_t, AdaptiveState> adaptive_;
 
   // --- fault state (runtime/faults.hpp) -------------------------------------
   /// Serializes structural fault application (fail_cluster and friends are
   /// rare control-plane calls; the data plane reads only the atomics below).
-  /// Lock order: fault_mu_ -> adaptive_mu_ -> AdaptiveState::mu -> plan_mu_.
+  /// Lock order: fault_mu_ -> plan_mu_.
   mutable std::mutex fault_mu_;
   /// The specs prepare() planned, in layer order — the plan cache only keeps
   /// signatures, so degraded re-planning needs them to rebuild every plan.

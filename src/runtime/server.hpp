@@ -36,12 +36,11 @@
 // use, so the admission -> dispatch -> complete hot path is allocation-free
 // at steady state (tests/test_scratch_reuse.cpp counts it).
 //
-// SLO-aware wave sizing: a hysteresis-gated controller (mirroring the PR-5
-// replan gate) trades wave size for latency. Full waves leaving a backlog
-// grow the target (×2 toward max_wave_lanes — throughput under heavy load);
-// deadline-fired waves at <= shrink_occupancy of the target shrink it (÷2
-// toward min_wave_lanes — a light-load request no longer waits for lanes it
-// cannot fill). Both need `controller_streak` *consecutive* waves of
+// SLO-aware wave sizing: a hysteresis-gated controller trades wave size for
+// latency. Full waves leaving a backlog grow the target (×2 toward
+// max_wave_lanes — throughput under heavy load); deadline-fired waves at
+// <= shrink_occupancy of the target shrink it (÷2 toward min_wave_lanes — a
+// light-load request no longer waits for lanes it cannot fill). Both need `controller_streak` *consecutive* waves of
 // evidence and the dead band between the two thresholds means steady load
 // never oscillates.
 //

@@ -10,7 +10,6 @@
 
 #include "common/rng.hpp"
 #include "runtime/backend_cycle.hpp"
-#include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/multistep.hpp"
 #include "snn/calibrate.hpp"
@@ -229,25 +228,6 @@ TEST(BackendParity, DenseVariantsAreIssCalibrated) {
   const rt::CycleAccurateBackend nb(base);
   EXPECT_GT(nb.baseline_dense_ratio(128), 1.05);
   EXPECT_LT(nb.baseline_dense_ratio(128), 2.0 + 1e-9);
-}
-
-TEST(ShardedSlices, AlignToSimdGroupBoundaries) {
-  k::RunOptions opt;
-  opt.fmt = sc::FpFormat::FP16;  // 4 lanes
-  const rt::ShardedBackend be(opt, 4);
-  const auto sl = be.slices(10);  // 3 groups of 4 lanes -> 3 active shards
-  ASSERT_EQ(sl.size(), 3u);
-  EXPECT_EQ(sl[0], std::make_pair(0, 4));
-  EXPECT_EQ(sl[1], std::make_pair(4, 8));
-  EXPECT_EQ(sl[2], std::make_pair(8, 10));
-
-  k::RunOptions opt8;
-  opt8.fmt = sc::FpFormat::FP8;  // 8 lanes -> 2 groups -> 2 active shards
-  const rt::ShardedBackend be8(opt8, 4);
-  const auto sl8 = be8.slices(10);
-  ASSERT_EQ(sl8.size(), 2u);
-  EXPECT_EQ(sl8[0], std::make_pair(0, 8));
-  EXPECT_EQ(sl8[1], std::make_pair(8, 10));
 }
 
 TEST(BatchRunner, DeterministicAcrossWorkerCounts) {

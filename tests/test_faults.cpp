@@ -282,6 +282,31 @@ TEST(DegradedMode, FailStopKeepsSpikesBitIdenticalAndReplansOnce) {
   EXPECT_GE(solo.total_cycles, ref.total_cycles);
 }
 
+TEST(DegradedMode, FailStopReplanMatchesFreshPlanAtSurvivorWidth) {
+  // Plans have one planning density, so the plan a fail-stop swaps in must
+  // be exactly the plan a fresh partitioner over the survivors would build.
+  const snn::Network net = test_net();
+  k::RunOptions opt;
+  rt::BackendConfig cfg = sharded(4);
+  cfg.partition = k::PartitionStrategy::kHybrid;
+  rt::InferenceEngine engine(net, opt, cfg);
+  const rt::ShardedBackend* sb = sharded_of(engine);
+  ASSERT_NE(sb, nullptr);
+  ASSERT_TRUE(sb->fail_cluster(3));
+
+  const k::Partitioner fresh(opt, 3, k::PartitionStrategy::kHybrid);
+  bool narrowed = false;
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const snn::LayerSpec& spec = net.layer(l);
+    const k::LayerPlan got = sb->plan_for(spec);
+    const k::LayerPlan want = fresh.plan_layer(spec);
+    EXPECT_EQ(got.axis, want.axis) << spec.name;
+    EXPECT_EQ(got.shards, want.shards) << spec.name;
+    narrowed |= got.n() == 3;
+  }
+  EXPECT_TRUE(narrowed) << "some layer must shard across all 3 survivors";
+}
+
 TEST(DegradedMode, SlowdownAndLinkDegradeOnlyStretchTiming) {
   const snn::Network net = test_net();
   const auto img = snn::make_batch(1, 17, 16, 16, 3)[0];

@@ -90,6 +90,12 @@ TEST(Partitioner, ChannelSlicesAlignToSimdGroups) {
   EXPECT_EQ(sl[0], (k::ShardRange{0, 4}));
   EXPECT_EQ(sl[1], (k::ShardRange{4, 8}));
   EXPECT_EQ(sl[2], (k::ShardRange{8, 10}));
+
+  // FP8 packs 8 lanes: 2 groups -> 2 active shards of the 4 clusters.
+  const auto sl8 = k::Partitioner::channel_slices(10, 8, 4);
+  ASSERT_EQ(sl8.size(), 2u);
+  EXPECT_EQ(sl8[0], (k::ShardRange{0, 8}));
+  EXPECT_EQ(sl8[1], (k::ShardRange{8, 10}));
 }
 
 TEST(Partitioner, RowStripesCoverAllRowsDisjointly) {
@@ -769,134 +775,4 @@ TEST(SegmentMajor, ReducesFcDmaAndItemizesSaving) {
     // Spikes untouched by the accounting change.
     EXPECT_EQ(a[i].final_output.v, b[i].final_output.v) << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Occupancy-adaptive re-planning
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Drive `runs` executions of `spec` through a sharded backend at a given
-/// input density (deterministic evenly-spaced spikes).
-void drive_fc(const rt::ShardedBackend& be, const snn::LayerSpec& spec,
-              const snn::LayerWeights& w, double density, int runs) {
-  snn::SpikeMap in(1, 1, spec.in_c);
-  const int stride =
-      std::max(1, static_cast<int>(1.0 / std::max(density, 1e-6)));
-  for (int c = 0; c < spec.in_c; c += stride) in.at(0, 0, c) = 1;
-  for (int r = 0; r < runs; ++r) {
-    spikestream::compress::CsrIfmap csr;
-    spikestream::compress::CsrIfmap::encode_into(in, csr);
-    snn::Tensor mem(1, 1, spec.out_c);
-    k::LayerScratch scratch;
-    be.run_fc(spec, w, csr, mem, scratch);
-  }
-}
-
-}  // namespace
-
-TEST(AdaptiveReplan, FlipsExactlyOnceAfterWarmupAndNeverOscillates) {
-  // fc8-shaped head at 8 clusters: the cold-density initial plan picks
-  // output-channel tiles; once the measured EMA is seeded with the
-  // steady-state density, the re-planner must flip to fan-in exactly once
-  // and then hold the axis over many more runs at stable density.
-  k::RunOptions opt;
-  const auto spec = fc_spec(1024, 10);
-  snn::LayerWeights w;
-  w.k = 1;
-  w.in_c = spec.in_c;
-  w.out_c = spec.out_c;
-  w.v.assign(static_cast<std::size_t>(spec.in_c) * spec.out_c, 0.01f);
-  k::ReplanConfig replan;
-  replan.enabled = true;
-  const rt::ShardedBackend be(opt, 8, /*use_threads=*/false,
-                              k::PartitionStrategy::kHybrid, {}, nullptr,
-                              32 * 1024, replan);
-  // Cold-start plan: near-empty density prefers output-channel.
-  EXPECT_EQ(be.active_axis(spec), k::ShardAxis::kOutputChannel);
-  EXPECT_EQ(be.replan_flips(spec), 0);
-
-  drive_fc(be, spec, w, 0.15, replan.warmup_runs);  // seed the EMA
-  EXPECT_EQ(be.replan_flips(spec), 1);
-  EXPECT_EQ(be.active_axis(spec), k::ShardAxis::kFanIn);
-
-  drive_fc(be, spec, w, 0.15, 30);  // stable density: no oscillation
-  EXPECT_EQ(be.replan_flips(spec), 1);
-  EXPECT_EQ(be.active_axis(spec), k::ShardAxis::kFanIn);
-}
-
-TEST(AdaptiveReplan, HysteresisHoldsAxisThroughDensityJitter) {
-  k::RunOptions opt;
-  const auto spec = fc_spec(1024, 10);
-  snn::LayerWeights w;
-  w.k = 1;
-  w.in_c = spec.in_c;
-  w.out_c = spec.out_c;
-  w.v.assign(static_cast<std::size_t>(spec.in_c) * spec.out_c, 0.01f);
-  k::ReplanConfig replan;
-  replan.enabled = true;
-  const rt::ShardedBackend be(opt, 8, /*use_threads=*/false,
-                              k::PartitionStrategy::kHybrid, {}, nullptr,
-                              32 * 1024, replan);
-  // Jitter around a steady level: the EMA smooths it and the hysteresis
-  // margin absorbs what remains — at most the one warmup flip may happen.
-  for (int r = 0; r < 20; ++r) {
-    drive_fc(be, spec, w, 0.12 + 0.06 * (r % 2), 1);
-  }
-  EXPECT_LE(be.replan_flips(spec), 1);
-  const auto axis_after = be.active_axis(spec);
-  for (int r = 0; r < 20; ++r) {
-    drive_fc(be, spec, w, 0.12 + 0.06 * (r % 2), 1);
-  }
-  EXPECT_EQ(be.active_axis(spec), axis_after);
-}
-
-TEST(AdaptiveReplan, DisabledBackendNeverReplans) {
-  k::RunOptions opt;
-  const auto spec = fc_spec(1024, 10);
-  snn::LayerWeights w;
-  w.k = 1;
-  w.in_c = spec.in_c;
-  w.out_c = spec.out_c;
-  w.v.assign(static_cast<std::size_t>(spec.in_c) * spec.out_c, 0.01f);
-  const rt::ShardedBackend be(opt, 8, /*use_threads=*/false,
-                              k::PartitionStrategy::kHybrid);
-  const auto axis0 = be.active_axis(spec);
-  drive_fc(be, spec, w, 0.15, 10);
-  EXPECT_EQ(be.replan_flips(spec), 0);
-  EXPECT_EQ(be.active_axis(spec), axis0);
-  EXPECT_DOUBLE_EQ(be.occupancy_ema(spec), -1.0);
-}
-
-TEST(AdaptiveReplan, AdaptiveBeatsStaticHybridOnColdStart) {
-  // End-to-end: over a run that starts on empty membranes, the adaptive
-  // engine's fc layer must cost no more modeled cycles than the static
-  // hybrid plan, and strictly less on the first (near-empty) timestep when
-  // a flip happened.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 6, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig stat = sharded_cfg(k::PartitionStrategy::kHybrid, 8);
-  rt::BackendConfig adap = stat;
-  adap.replan.enabled = true;
-  const rt::InferenceEngine es(net, opt, stat);
-  const rt::InferenceEngine ea(net, opt, adap);
-  snn::NetworkState ss = es.make_state(), sa = ea.make_state();
-  rt::InferenceResult rs, ra;
-  const std::size_t fc = net.num_layers() - 1;
-  double fc_static = 0, fc_adaptive = 0;
-  for (int t = 0; t < 5; ++t) {
-    es.run(img, ss, rs);
-    ea.run(img, sa, ra);
-    // Spikes must be identical whatever the plan: partitioning only ever
-    // changes timing attribution.
-    ASSERT_EQ(rs.final_output.v, ra.final_output.v) << "t=" << t;
-    fc_static += rs.layers[fc].stats.cycles;
-    fc_adaptive += ra.layers[fc].stats.cycles;
-  }
-  EXPECT_LE(fc_adaptive, fc_static + 1e-9);
-  const auto* be = dynamic_cast<const rt::ShardedBackend*>(&ea.backend());
-  ASSERT_NE(be, nullptr);
-  EXPECT_LE(be->replan_flips(net.layer(fc)), 1);
 }

@@ -11,6 +11,7 @@
 #include "bench/alloc_hook.hpp"
 #include "common/rng.hpp"
 #include "compress/csr_ifmap.hpp"
+#include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
@@ -338,11 +339,11 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsBankedDram) {
       << "banked-DRAM steady state must not touch the heap";
 }
 
-TEST(ScratchReuse, ZeroSteadyStateAllocationsAdaptiveSharded) {
-  // Once the one axis flip (if any) has happened, the adaptive re-planner's
-  // steady state is an EMA update plus two allocation-free cost-model
-  // evaluations per layer — the pooled sharded zero-allocation contract must
-  // survive with re-planning enabled.
+TEST(ScratchReuse, ZeroSteadyStateAllocationsHybridSharded) {
+  // The hybrid partitioner mixes shard axes within one network: fan-in
+  // segments and row stripes fan out into the same pre-sized lanes as
+  // output-channel tiles, so the pooled sharded zero-allocation contract
+  // must hold for them too.
   const snn::Network net = test_net();
   const auto img = snn::make_batch(1, 9, 16, 16, 3)[0];
   k::RunOptions opt;
@@ -351,8 +352,16 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsAdaptiveSharded) {
   cfg.clusters = 4;
   cfg.shard_threads = true;
   cfg.partition = spikestream::kernels::PartitionStrategy::kHybrid;
-  cfg.replan.enabled = true;
   const rt::InferenceEngine engine(net, opt, cfg);
+  const auto* sb = dynamic_cast<const rt::ShardedBackend*>(&engine.backend());
+  ASSERT_NE(sb, nullptr);
+  bool mixed = false;
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    mixed |= sb->plan_for(net.layer(l)).axis !=
+             k::ShardAxis::kOutputChannel;
+  }
+  ASSERT_TRUE(mixed) << "the hybrid plan must leave the output-channel axis "
+                        "on at least one layer";
   snn::NetworkState state = engine.make_state();
   rt::InferenceResult res;
   ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
@@ -360,7 +369,7 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsAdaptiveSharded) {
   for (int t = 0; t < 5; ++t) engine.run(img, state, res);
   const std::size_t after = spikestream::alloc_hook::allocs();
   EXPECT_EQ(after - before, 0u)
-      << "adaptive sharded steady state must not touch the heap";
+      << "hybrid sharded steady state must not touch the heap";
 }
 
 TEST(ScratchReuse, ZeroSteadyStateAllocationsServerLoop) {
