@@ -186,6 +186,16 @@ int main() {
         profile_backend("sharded-4", net, opt, cfg, images, reps));
   }
   {
+    // Threaded sharding at one batch worker: the conv layers' host row bands
+    // and the clusters' timing passes are then the only host parallelism,
+    // so this row guards the shard-level fan-out on its own.
+    rt::BackendConfig cfg;
+    cfg.kind = rt::BackendKind::kSharded;
+    cfg.clusters = 4;
+    profiles.push_back(profile_backend("sharded-4+1worker", net, opt, cfg,
+                                       images, reps, /*workers=*/1));
+  }
+  {
     // Batch-level weight-tile reuse: SPM-resident weight tiles survive
     // between samples, skipping the weight DMA on warm samples. The
     // row runs single-worker so which samples are cold is deterministic

@@ -58,8 +58,9 @@ int main() {
   }
 
   // 4) Scale out: the same network on 4 simulated clusters. The sharded
-  //    backend splits each layer's output-channel tiles across clusters
-  //    (thread workers) and produces bit-identical spikes.
+  //    backend computes each layer once and prices each cluster's
+  //    output-channel tile of it (plus the NoC traffic between them), so
+  //    the spikes are bit-identical and only the modeled cycles change.
   k::RunOptions opt;
   opt.fmt = sc::FpFormat::FP16;
   rt::BackendConfig sharded;

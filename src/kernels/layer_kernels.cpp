@@ -258,20 +258,29 @@ void dispatch_add_rows(bool half, float* __restrict__ acc,
 // Functional passes
 // ---------------------------------------------------------------------------
 
-void conv_functional(const snn::LayerSpec& spec,
-                     const snn::LayerWeights& weights,
-                     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
-                     KernelScratch& scratch) {
+void shape_functional(const snn::LayerSpec& spec, KernelScratch& scratch) {
+  scratch.currents.reshape(spec.out_h(), spec.out_w(), spec.out_c);
+  scratch.run.out_spikes.reshape(spec.out_h(), spec.out_w(), spec.out_c);
+}
+
+std::size_t conv_functional_rows(const snn::LayerSpec& spec,
+                                 const snn::LayerWeights& weights,
+                                 const compress::CsrIfmap& ifmap,
+                                 snn::Tensor& membrane, KernelScratch& scratch,
+                                 std::vector<const void*>& rows, int oy_lo,
+                                 int oy_hi) {
   SPK_CHECK(ifmap.h() == spec.in_h && ifmap.w() == spec.in_w &&
                 ifmap.c() == spec.in_c,
             "conv " << spec.name << ": ifmap shape mismatch");
   const int k = spec.k;
-  const int oh = spec.out_h(), ow = spec.out_w();
+  const int ow = spec.out_w();
   const int out_c = spec.out_c;
 
   snn::Tensor& currents = scratch.currents;
-  currents.reshape(oh, ow, out_c);
-  std::fill(currents.v.begin(), currents.v.end(), 0.0f);
+  const std::size_t row_elems =
+      static_cast<std::size_t>(ow) * static_cast<std::size_t>(out_c);
+  std::fill_n(currents.v.data() + static_cast<std::size_t>(oy_lo) * row_elems,
+              static_cast<std::size_t>(oy_hi - oy_lo) * row_elems, 0.0f);
 
   const bool half = use_half_rows(weights, out_c);
   const char* wbase = half
@@ -281,8 +290,7 @@ void conv_functional(const snn::LayerSpec& spec,
       static_cast<std::size_t>(out_c) *
       (half ? sizeof(std::uint16_t) : sizeof(float));
   const std::size_t in_c = static_cast<std::size_t>(weights.in_c);
-  std::vector<const void*>& rows = scratch.rows;
-  for (int oy = 0; oy < oh; ++oy) {
+  for (int oy = oy_lo; oy < oy_hi; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
       // Hoist the weight-row pointers of this receptive field, in the same
       // (kh, kw, ci) order the reference walks them.
@@ -300,8 +308,17 @@ void conv_functional(const snn::LayerSpec& spec,
                         rows.size(), out_c);
     }
   }
-  scratch.run.out_nnz =
-      snn::lif_step_into(spec.lif, currents, membrane, scratch.run.out_spikes);
+  return snn::lif_step_rows(spec.lif, currents, membrane,
+                            scratch.run.out_spikes, oy_lo, oy_hi);
+}
+
+void conv_functional(const snn::LayerSpec& spec,
+                     const snn::LayerWeights& weights,
+                     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
+                     KernelScratch& scratch) {
+  shape_functional(spec, scratch);
+  scratch.run.out_nnz = conv_functional_rows(
+      spec, weights, ifmap, membrane, scratch, scratch.rows, 0, spec.out_h());
 }
 
 void fc_functional(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
@@ -391,16 +408,27 @@ void fc_functional_batch(const snn::LayerSpec& spec,
   }
 }
 
+std::size_t encode_functional_rows(const snn::LayerSpec& spec,
+                                   const snn::LayerWeights& weights,
+                                   const snn::Tensor& padded_image,
+                                   snn::Tensor& membrane,
+                                   KernelScratch& scratch, int oy_lo,
+                                   int oy_hi) {
+  SPK_CHECK(padded_image.h == spec.in_h && padded_image.c == spec.in_c,
+            "encode: input shape mismatch");
+  snn::Reference::conv_currents_dense_rows(padded_image, weights, oy_lo, oy_hi,
+                                           scratch.currents);
+  return snn::lif_step_rows(spec.lif, scratch.currents, membrane,
+                            scratch.run.out_spikes, oy_lo, oy_hi);
+}
+
 void encode_functional(const snn::LayerSpec& spec,
                        const snn::LayerWeights& weights,
                        const snn::Tensor& padded_image, snn::Tensor& membrane,
                        KernelScratch& scratch) {
-  SPK_CHECK(padded_image.h == spec.in_h && padded_image.c == spec.in_c,
-            "encode: input shape mismatch");
-  snn::Reference::conv_currents_dense_into(padded_image, weights,
-                                           scratch.currents);
-  scratch.run.out_nnz = snn::lif_step_into(spec.lif, scratch.currents,
-                                           membrane, scratch.run.out_spikes);
+  shape_functional(spec, scratch);
+  scratch.run.out_nnz = encode_functional_rows(
+      spec, weights, padded_image, membrane, scratch, 0, spec.out_h());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@
 // *timing* pass (the mechanistic cost model). Both write into a caller-owned
 // KernelScratch so steady-state execution allocates nothing; backends run the
 // passes separately (the cycle-accurate backend re-anchors the timing pass,
-// the sharded backend splits it across clusters; see runtime/backend.hpp).
+// the sharded backend prices it per cluster; see runtime/backend.hpp).
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "common/float_formats.hpp"
 #include "compress/csr_ifmap.hpp"
@@ -100,6 +101,30 @@ void encode_functional(const snn::LayerSpec& spec,
                        const snn::LayerWeights& weights,
                        const snn::Tensor& padded_image, snn::Tensor& membrane,
                        KernelScratch& scratch);
+
+// Row-band forms of the conv/encode functional passes, for callers that
+// split one layer into contiguous output-row bands on several host threads
+// (runtime/backend_sharded.hpp). shape_functional() sizes scratch.currents
+// and scratch.run.out_spikes for the whole layer once; each band then fills
+// rows [oy_lo, oy_hi) of both, LIF-steps the same rows of `membrane`, and
+// returns its spike count. Every neuron sees the same fan-in in the same
+// order as the whole-layer call, so any banding is bit-identical to it.
+// Bands over disjoint rows may run concurrently on one shared scratch; a
+// conv band hoists its weight-row pointers into its own `rows` buffer.
+
+void shape_functional(const snn::LayerSpec& spec, KernelScratch& scratch);
+std::size_t conv_functional_rows(const snn::LayerSpec& spec,
+                                 const snn::LayerWeights& weights,
+                                 const compress::CsrIfmap& ifmap,
+                                 snn::Tensor& membrane, KernelScratch& scratch,
+                                 std::vector<const void*>& rows, int oy_lo,
+                                 int oy_hi);
+std::size_t encode_functional_rows(const snn::LayerSpec& spec,
+                                   const snn::LayerWeights& weights,
+                                   const snn::Tensor& padded_image,
+                                   snn::Tensor& membrane,
+                                   KernelScratch& scratch, int oy_lo,
+                                   int oy_hi);
 
 /// One in-flight sample's borrowed buffers for a batch-scope FC call (see
 /// fc_functional_batch and ExecutionBackend::run_fc_batch): its compressed

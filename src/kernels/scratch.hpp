@@ -56,17 +56,15 @@ struct KernelScratch {
   ScheduleResult sched;            ///< steal/static schedule simulation
 };
 
-/// Per-cluster lane of the sharded backend: the slice of state one simulated
-/// cluster owns plus the scratch its kernel call runs in. Which members a
-/// plan uses depends on its axis: output-channel shards compact a channel
-/// slice of the membrane, ifmap stripes additionally carry the halo'd input
-/// stripe (CSR rows or dense image rows), fan-in shards only run the timing
-/// pass in `ks`. All buffers grow on first use and are reused afterwards.
+/// Per-cluster lane of the sharded backend: the scratch one simulated
+/// cluster's timing pass runs in — its `ks.run.out_spikes` holds that
+/// cluster's slice of the layer output — plus, for ifmap stripes, the halo'd
+/// CSR row slice the cluster streams. With host threading on, lane b's
+/// `ks.rows` also serves the b-th output-row band of the layer's single
+/// functional pass. All buffers grow on first use and are reused afterwards.
 struct ShardLane {
   KernelScratch ks;
-  snn::Tensor membrane;     ///< channel- or row-slice of the full membrane
   compress::CsrIfmap csr;   ///< ifmap-stripe: halo'd CSR row slice
-  snn::Tensor input;        ///< encode stripe: padded-image row slice
 };
 
 /// Per-(state, layer) arena: the main execution lane plus the engine-side

@@ -51,16 +51,20 @@ struct BackendConfig {
   BackendKind kind = BackendKind::kAnalytical;
   /// ShardedBackend: number of simulated clusters a layer is split across.
   int clusters = 4;
-  /// ShardedBackend: run the per-cluster shards on the persistent worker
-  /// pool (false = deterministic serial loop, useful for debugging; results
-  /// are bit-identical either way).
+  /// ShardedBackend: use the persistent worker pool on the host. A conv or
+  /// encode layer's single functional pass then splits into contiguous
+  /// output-row bands, one per simulated cluster (capped at the output
+  /// rows), and the clusters' timing passes fan out too. The bands follow
+  /// the host, not the partition plan. False = one serial call per layer,
+  /// useful for debugging. Spikes and modeled stats are bit-identical
+  /// either way.
   bool shard_threads = true;
   /// ShardedBackend: host-side fan-out cutoff. A layer with fewer output
-  /// elements than this executes its shards serially on the submitting
-  /// thread even in pooled mode — for small layers the pool handoff and
-  /// worker wakeups cost more host time than the shard work itself (the
-  /// sharded-4 regression in BENCH_host.json). Modeled timing and spikes
-  /// are bit-identical either way; only host wall-clock changes.
+  /// elements than this runs its functional pass as one call and prices its
+  /// clusters serially on the submitting thread even with shard_threads on:
+  /// for small layers the pool handoff and worker wakeups cost more host
+  /// time than the work itself. FC layers have one output row and never
+  /// band. Only host wall-clock changes.
   int shard_min_work = 32 * 1024;
   /// ShardedBackend: how layers are split across clusters (see
   /// kernels/partition.hpp). The default reproduces the historical

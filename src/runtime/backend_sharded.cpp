@@ -11,53 +11,33 @@ namespace spikestream::runtime {
 
 namespace {
 
-/// Copy channels [lo, hi) of an HWC tensor into a compact caller-owned
-/// tensor (reused capacity).
-template <typename T>
-void slice_channels_into(const snn::Hwc<T>& t, int lo, int hi,
-                         snn::Hwc<T>& out) {
+/// Copy channels [lo, hi) of a spike map into a compact caller-owned map
+/// (reused capacity) and return how many of them fired.
+std::size_t slice_channels_into(const snn::SpikeMap& t, int lo, int hi,
+                                snn::SpikeMap& out) {
   out.reshape(t.h, t.w, hi - lo);
-  const T* src = t.v.data() + lo;
-  T* dst = out.v.data();
+  const std::uint8_t* src = t.v.data() + lo;
+  std::uint8_t* dst = out.v.data();
   const std::size_t positions =
       static_cast<std::size_t>(t.h) * static_cast<std::size_t>(t.w);
   const std::size_t n = static_cast<std::size_t>(hi - lo);
   for (std::size_t p = 0; p < positions; ++p) {
     std::copy_n(src + p * static_cast<std::size_t>(t.c), n, dst + p * n);
   }
+  return snn::spike_count(out);
 }
 
-/// Scatter a compact channel slice back into channels [lo, ...) of `full`.
-template <typename T>
-void unslice_channels(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
-  const T* src = part.v.data();
-  T* dst = full.v.data() + lo;
-  const std::size_t positions =
-      static_cast<std::size_t>(part.h) * static_cast<std::size_t>(part.w);
-  const std::size_t n = static_cast<std::size_t>(part.c);
-  for (std::size_t p = 0; p < positions; ++p) {
-    std::copy_n(src + p * n, n, dst + p * static_cast<std::size_t>(full.c));
-  }
-}
-
-/// Copy spatial rows [lo, hi) of an HWC tensor into a compact caller-owned
-/// tensor. Rows are contiguous in HWC, so this is one block copy.
-template <typename T>
-void slice_rows_into(const snn::Hwc<T>& t, int lo, int hi, snn::Hwc<T>& out) {
+/// Copy spatial rows [lo, hi) of a spike map into a compact caller-owned map
+/// and return how many of them fired. Rows are contiguous in HWC, so this is
+/// one block copy.
+std::size_t slice_rows_into(const snn::SpikeMap& t, int lo, int hi,
+                            snn::SpikeMap& out) {
   out.reshape(hi - lo, t.w, t.c);
   const std::size_t row =
       static_cast<std::size_t>(t.w) * static_cast<std::size_t>(t.c);
   std::copy_n(t.v.data() + static_cast<std::size_t>(lo) * row,
               static_cast<std::size_t>(hi - lo) * row, out.v.data());
-}
-
-/// Scatter a compact row slice back into rows [lo, ...) of `full`.
-template <typename T>
-void unslice_rows(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
-  const std::size_t row = static_cast<std::size_t>(full.w) *
-                          static_cast<std::size_t>(full.c);
-  std::copy_n(part.v.data(), part.v.size(),
-              full.v.data() + static_cast<std::size_t>(lo) * row);
+  return snn::spike_count(out);
 }
 
 }  // namespace
@@ -236,14 +216,7 @@ void ShardedBackend::prepare(const snn::Network& net) const {
     pin_stage_plans(partitioner_,
                     std::span(&net.layer(0), net.num_layers()));
   }
-  for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const kernels::LayerPlan& plan = plan_for(net.layer(l));
-    if (plan.axis == kernels::ShardAxis::kOutputChannel && plan.n() > 1) {
-      for (const kernels::ShardRange& r : plan.shards) {
-        shard_weights(net.weights(l), r.lo, r.hi);
-      }
-    }
-  }
+  for (std::size_t l = 0; l < net.num_layers(); ++l) plan_for(net.layer(l));
 }
 
 void ShardedBackend::presize_state(snn::NetworkState& state,
@@ -252,12 +225,17 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     const snn::LayerSpec& spec = net.layer(l);
     const kernels::LayerPlan& plan = plan_for(spec);
-    if (plan.n() <= 1) continue;
+    const std::size_t shards = plan.n() > 1 ? plan.n() : 0;
+    const std::size_t bands = host_bands(spec);  // 1 = main's own buffer
+    const std::size_t lanes = std::max(shards, bands);
+    if (lanes <= 1) continue;
     kernels::LayerScratch& scratch = state.scratch(l);
-    if (scratch.lanes.size() < plan.n()) scratch.lanes.resize(plan.n());
-    for (std::size_t s = 0; s < plan.n(); ++s) {
-      scratch.lanes[s].ks.rows.reserve(spec.fan_in());
-      if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
+    if (scratch.lanes.size() < lanes) scratch.lanes.resize(lanes);
+    for (std::size_t s = 0; s < lanes; ++s) {
+      if (bands > 1 && s < bands) {
+        scratch.lanes[s].ks.rows.reserve(spec.fan_in());
+      }
+      if (s < shards && plan.axis == kernels::ShardAxis::kIfmapStripe) {
         // Halo'd input stripe, zero-sparsity worst case.
         const std::size_t in_rows =
             static_cast<std::size_t>(plan.shards[s].extent() + spec.k - 1);
@@ -270,60 +248,19 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
   }
 }
 
-const snn::LayerWeights& ShardedBackend::shard_weights(
-    const snn::LayerWeights& w, int lo, int hi) const {
-  const WeightKey key{w.v.data(), w.v.size(), w.k, w.in_c, lo, hi};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = weight_cache_.find(key);
-  if (it != weight_cache_.end()) {
-    // Validate the hit: if the allocator reused this address for another
-    // network's weights, the boundary elements will not match and the entry
-    // is rebuilt below instead of served stale.
-    const snn::LayerWeights& c = it->second;
-    if (!c.v.empty() && c.v.front() == w.v[w.index(0, 0, 0, lo)] &&
-        c.v.back() == w.v[w.index(w.k - 1, w.k - 1, w.in_c - 1, hi - 1)]) {
-      return c;
-    }
-  }
-
-  snn::LayerWeights sub;
-  sub.k = w.k;
-  sub.in_c = w.in_c;
-  sub.out_c = hi - lo;
-  const std::size_t sub_size = w.v.size() / static_cast<std::size_t>(w.out_c) *
-                               static_cast<std::size_t>(sub.out_c);
-  sub.v.reserve(sub_size);
-  // A sub-range of an exact half array is exact: copy the half-precision
-  // streaming path's runs alongside the float ones.
-  sub.half_exact = w.half_exact;
-  if (sub.half_exact) sub.half.reserve(sub_size);
-  // Output channels are innermost, so each (kh, kw, ci) row contributes one
-  // contiguous run of `hi - lo` values.
-  for (int kh = 0; kh < w.k; ++kh) {
-    for (int kw = 0; kw < w.k; ++kw) {
-      for (int ci = 0; ci < w.in_c; ++ci) {
-        const auto base = static_cast<std::ptrdiff_t>(w.index(kh, kw, ci, lo));
-        const auto end = base + sub.out_c;
-        sub.v.insert(sub.v.end(), w.v.begin() + base, w.v.begin() + end);
-        if (sub.half_exact) {
-          sub.half.insert(sub.half.end(), w.half.begin() + base,
-                          w.half.begin() + end);
-        }
-      }
-    }
-  }
-  // std::map nodes are stable: the reference outlives the lock.
-  return weight_cache_.insert_or_assign(key, std::move(sub)).first->second;
-}
-
 bool ShardedBackend::pool_worthwhile(const snn::LayerSpec& spec) const {
-  // Output elements approximate the per-layer host work (functional pass +
-  // merge are both O(out elements)); below the cutoff the pool handoff and
-  // worker wakeups dominate, so the submitting thread runs the shards
-  // itself. Simulated timing still models `clusters_` parallel clusters.
+  // Output elements approximate the per-layer host work (functional pass and
+  // per-cluster spike slicing are both O(out elements)); below the cutoff the
+  // pool handoff and worker wakeups dominate, so the submitting thread does
+  // the work itself. Simulated timing still models the planned clusters.
   const double elems = static_cast<double>(spec.out_h()) * spec.out_w() *
                        static_cast<double>(spec.out_c);
   return elems >= static_cast<double>(min_work_);
+}
+
+std::size_t ShardedBackend::host_bands(const snn::LayerSpec& spec) const {
+  if (!threads_ || pool_ == nullptr || !pool_worthwhile(spec)) return 1;
+  return static_cast<std::size_t>(std::min(clusters_, spec.out_h()));
 }
 
 void ShardedBackend::for_shards(
@@ -337,21 +274,70 @@ void ShardedBackend::for_shards(
                       [&fn](std::size_t, std::size_t i) { fn(i); });
 }
 
+void ShardedBackend::run_functional(const snn::LayerSpec& spec,
+                                    const snn::LayerWeights& weights,
+                                    const compress::CsrIfmap* ifmap,
+                                    const snn::Tensor* image,
+                                    snn::Tensor& membrane,
+                                    kernels::LayerScratch& scratch) const {
+  kernels::KernelScratch& main = scratch.main;
+  if (spec.kind == snn::LayerKind::kFc) {
+    kernels::fc_functional(spec, weights, *ifmap, membrane, main);
+    return;
+  }
+  // Conv / encode: contiguous output-row bands write disjoint rows of the
+  // shared currents, membrane and spikes (rows are contiguous in HWC); band b
+  // hoists its weight-row pointers into lane b's buffer.
+  kernels::shape_functional(spec, main);
+  const std::size_t bands = host_bands(spec);
+  if (bands > 1 && scratch.lanes.size() < bands) scratch.lanes.resize(bands);
+  const std::size_t oh = static_cast<std::size_t>(spec.out_h());
+  std::atomic<std::size_t> fired{0};
+  for_shards(bands, true, [&](std::size_t b) {
+    const int lo = static_cast<int>(oh * b / bands);
+    const int hi = static_cast<int>(oh * (b + 1) / bands);
+    const std::size_t n =
+        image != nullptr
+            ? kernels::encode_functional_rows(spec, weights, *image, membrane,
+                                              main, lo, hi)
+            : kernels::conv_functional_rows(
+                  spec, weights, *ifmap, membrane, main,
+                  bands > 1 ? scratch.lanes[b].ks.rows : main.rows, lo, hi);
+    fired += n;
+  });
+  main.run.out_nnz = fired.load();
+}
+
+void ShardedBackend::time_shard(const snn::LayerSpec& sub,
+                                const compress::CsrIfmap* ifmap,
+                                kernels::KernelScratch& ks) const {
+  switch (sub.kind) {
+    case snn::LayerKind::kEncodeConv:
+      kernels::encode_timing(sub, opt_, ks);
+      return;
+    case snn::LayerKind::kConv:
+      kernels::conv_timing(sub, *ifmap, opt_, ks);
+      return;
+    case snn::LayerKind::kFc:
+      kernels::fc_timing(sub, *ifmap, opt_, ks);
+      return;
+  }
+}
+
 // Each shard's timing pass ran the tile planner on its own sub-spec, so
 // under the banked DRAM model every cluster prices its streams against a
 // private DRAM channel: merge_parallel takes the max of the per-channel DMA
 // timelines (channels drain concurrently) and sums the row-hit/row-miss
 // activity counters, exactly like the other per-cluster activity.
-std::size_t ShardedBackend::merge_shard_stats(
-    const kernels::LayerScratch& scratch, std::size_t n,
-    kernels::LayerRun& merged, int base) const {
-  merged.out_nnz = 0;
+void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
+                                       std::size_t n,
+                                       kernels::LayerRun& merged,
+                                       int base) const {
   std::size_t slowest = 0;
   double slowest_eff = -1.0;
   double eff_max = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
     const kernels::LayerRun& run = scratch.lanes[s].ks.run;
-    merged.out_nnz += run.out_nnz;
     if (s == 0) {
       merged.stats = run.stats;
     } else {
@@ -372,29 +358,6 @@ std::size_t ShardedBackend::merge_shard_stats(
   }
   if (eff_max > merged.stats.cycles) merged.stats.cycles = eff_max;
   merged.plan = scratch.lanes[slowest].ks.run.plan;
-  return slowest;
-}
-
-double ShardedBackend::merge_stripe_shards(const kernels::LayerPlan& plan,
-                                           const snn::LayerSpec& spec,
-                                           kernels::LayerScratch& scratch,
-                                           snn::Tensor& membrane,
-                                           kernels::LayerRun& merged,
-                                           int base) const {
-  merged.out_spikes.reshape(spec.out_h(), spec.out_w(), spec.out_c);
-  double gather_bytes = 0;
-  for (std::size_t s = 0; s < plan.n(); ++s) {
-    const kernels::ShardRange r = plan.shards[s];
-    unslice_rows(merged.out_spikes, scratch.lanes[s].ks.run.out_spikes, r.lo);
-    unslice_rows(membrane, scratch.lanes[s].membrane, r.lo);
-    if (s > 0) {
-      gather_bytes += static_cast<double>(
-          compress::CsrIfmap::footprint_from_count(
-              scratch.lanes[s].ks.run.out_nnz, r.extent(), spec.out_w()));
-    }
-  }
-  merge_shard_stats(scratch, plan.n(), merged, base);
-  return gather_bytes;
 }
 
 void ShardedBackend::apply_noc(
@@ -453,14 +416,9 @@ const ShardedBackend::StageInfo* ShardedBackend::stage_info_for(
   return it == stage_info_.end() ? nullptr : &it->second;  // node-stable
 }
 
-int ShardedBackend::cluster_base(const snn::LayerSpec& spec) const {
-  const StageInfo* info = stage_info_for(spec);
-  return info != nullptr ? info->cluster_lo : 0;
-}
-
 void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
+                                         const StageInfo* info,
                                          kernels::LayerRun& run) const {
-  const StageInfo* info = stage_info_for(spec);
   if (info == nullptr || !info->boundary) return;
   // The producing group packs each boundary spike into the inter-stage FIFO
   // (integer-core work alongside the activation append), then the CSR
@@ -484,38 +442,33 @@ void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
 // Output-channel tiling (the historical scheme)
 // ---------------------------------------------------------------------------
 
-const kernels::LayerRun& ShardedBackend::run_channel_sharded(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, snn::Tensor& membrane,
-    kernels::LayerScratch& scratch, double input_bytes,
-    common::FunctionRef<void(const snn::LayerSpec&, const snn::LayerWeights&,
-                             snn::Tensor&, kernels::KernelScratch&)>
-        kernel) const {
+void ShardedBackend::price_channel_shards(const kernels::LayerPlan& plan,
+                                          const snn::LayerSpec& spec,
+                                          const compress::CsrIfmap* ifmap,
+                                          kernels::LayerScratch& scratch,
+                                          int base) const {
   const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
+  kernels::LayerRun& merged = scratch.main.run;
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     const kernels::ShardRange r = plan.shards[s];
-    kernels::ShardLane& lane = scratch.lanes[s];
+    kernels::KernelScratch& ks = scratch.lanes[s].ks;
     snn::LayerSpec sub = spec;
     sub.out_c = r.extent();
-    slice_channels_into(membrane, r.lo, r.hi, lane.membrane);
-    kernel(sub, shard_weights(weights, r.lo, r.hi), lane.membrane, lane.ks);
+    ks.run.out_nnz =
+        slice_channels_into(merged.out_spikes, r.lo, r.hi, ks.run.out_spikes);
+    time_shard(sub, ifmap, ks);
   });
-
-  kernels::LayerRun& merged = scratch.main.run;
-  merged.out_spikes.reshape(spec.out_h(), spec.out_w(), spec.out_c);
-  for (std::size_t s = 0; s < n; ++s) {
-    unslice_channels(merged.out_spikes, scratch.lanes[s].ks.run.out_spikes,
-                     plan.shards[s].lo);
-    unslice_channels(membrane, scratch.lanes[s].membrane, plan.shards[s].lo);
-  }
-  const int base = cluster_base(spec);
   merge_shard_stats(scratch, n, merged, base);
 
   // The input is broadcast: every cluster beyond the owner receives a full
   // replica; the owner gathers the other clusters' ofmap slices. The legacy
   // total bills one replica per receiver; the link model replays the same
   // pattern as one multicast (each link charged once) plus gather unicasts.
+  const double input_bytes =
+      ifmap != nullptr
+          ? static_cast<double>(ifmap->footprint_bytes())
+          : static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
+                spec.in_w * spec.in_c;
   double noc = static_cast<double>(n - 1) * input_bytes;
   for (std::size_t s = 1; s < n; ++s) {
     noc += static_cast<double>(compress::CsrIfmap::footprint_from_count(
@@ -530,44 +483,59 @@ const kernels::LayerRun& ShardedBackend::run_channel_sharded(
                     spec.out_w())));
     }
   });
-  return merged;
 }
 
 // ---------------------------------------------------------------------------
 // Ifmap stripes (spatial row bands, conv/encode)
 // ---------------------------------------------------------------------------
 
-const kernels::LayerRun& ShardedBackend::run_stripe_conv(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, const compress::CsrIfmap& ifmap,
-    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
+void ShardedBackend::price_stripes(const kernels::LayerPlan& plan,
+                                   const snn::LayerSpec& spec,
+                                   const compress::CsrIfmap* ifmap,
+                                   kernels::LayerScratch& scratch,
+                                   int base) const {
   const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
+  kernels::LayerRun& merged = scratch.main.run;
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     const kernels::ShardRange r = plan.shards[s];
     kernels::ShardLane& lane = scratch.lanes[s];
     snn::LayerSpec sub = spec;
     sub.in_h = r.extent() + spec.k - 1;  // halo'd input rows
-    ifmap.slice_rows_into(r.lo, r.lo + sub.in_h, lane.csr);
-    slice_rows_into(membrane, r.lo, r.hi, lane.membrane);
-    kernels::run_conv_layer(sub, weights, lane.csr, lane.membrane, opt_,
-                            lane.ks);
+    if (ifmap != nullptr) {
+      ifmap->slice_rows_into(r.lo, r.lo + sub.in_h, lane.csr);
+    }
+    lane.ks.run.out_nnz =
+        slice_rows_into(merged.out_spikes, r.lo, r.hi, lane.ks.run.out_spikes);
+    time_shard(sub, ifmap != nullptr ? &lane.csr : nullptr, lane.ks);
   });
+  merge_shard_stats(scratch, n, merged, base);
 
-  // Stripes need no broadcast: clusters exchange only the halo overlap (the
-  // summed stripe footprints minus one resident copy) plus the ofmap gather.
-  double halo_bytes = -static_cast<double>(ifmap.footprint_bytes());
-  for (std::size_t s = 0; s < n; ++s) {
-    halo_bytes += static_cast<double>(scratch.lanes[s].csr.footprint_bytes());
+  // Stripes need no broadcast: clusters exchange only the halo overlap plus
+  // the ofmap gather to the owner. Sparse stripes overlap by their summed
+  // footprints minus one resident copy; dense image stripes duplicate
+  // (k - 1) rows per neighbor pair.
+  double halo = 0;
+  if (ifmap != nullptr) {
+    halo = -static_cast<double>(ifmap->footprint_bytes());
+    for (std::size_t s = 0; s < n; ++s) {
+      halo += static_cast<double>(scratch.lanes[s].csr.footprint_bytes());
+    }
+    halo = std::max(0.0, halo);
+  } else {
+    halo = static_cast<double>(n - 1) * static_cast<double>(spec.k - 1) *
+           static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_w *
+           spec.in_c;
   }
-  kernels::LayerRun& merged = scratch.main.run;
-  const int base = cluster_base(spec);
-  const double gather_bytes =
-      merge_stripe_shards(plan, spec, scratch, membrane, merged, base);
-  const double halo = std::max(0.0, halo_bytes);
+  double gather_bytes = 0;
+  for (std::size_t s = 1; s < n; ++s) {
+    gather_bytes += static_cast<double>(
+        compress::CsrIfmap::footprint_from_count(
+            scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
+            spec.out_w()));
+  }
   apply_noc(merged.stats, halo + gather_bytes, [&](arch::NocModel& m) {
-    // Halos flow between adjacent stripes: split the overlap traffic evenly
-    // over the n - 1 neighbor pairs. Ofmap slices gather to the owner.
+    // Halos flow between adjacent stripes, split evenly over the n - 1
+    // neighbor pairs; ofmap slices gather to the owner.
     const double per_pair = halo / static_cast<double>(n - 1);
     for (std::size_t s = 1; s < n; ++s) {
       const int c = base + static_cast<int>(s);
@@ -578,69 +546,18 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
                     spec.out_w())));
     }
   });
-  return merged;
-}
-
-const kernels::LayerRun& ShardedBackend::run_stripe_encode(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, const snn::Tensor& padded_image,
-    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
-  const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
-  const double px_bytes = static_cast<double>(common::fp_bytes(opt_.fmt)) *
-                          spec.in_w * spec.in_c;
-  for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
-    const kernels::ShardRange r = plan.shards[s];
-    kernels::ShardLane& lane = scratch.lanes[s];
-    snn::LayerSpec sub = spec;
-    sub.in_h = r.extent() + spec.k - 1;
-    slice_rows_into(padded_image, r.lo, r.lo + sub.in_h, lane.input);
-    slice_rows_into(membrane, r.lo, r.hi, lane.membrane);
-    kernels::run_encode_layer(sub, weights, lane.input, lane.membrane, opt_,
-                              lane.ks);
-  });
-
-  // Dense image stripes: the halo is the (n - 1) * (k - 1) duplicated rows.
-  const double halo_rows =
-      static_cast<double>(n - 1) * static_cast<double>(spec.k - 1);
-  kernels::LayerRun& merged = scratch.main.run;
-  const int base = cluster_base(spec);
-  const double gather_bytes =
-      merge_stripe_shards(plan, spec, scratch, membrane, merged, base);
-  apply_noc(merged.stats, halo_rows * px_bytes + gather_bytes,
-            [&](arch::NocModel& m) {
-              // (k - 1) image rows duplicated per neighbor pair, plus the
-              // ofmap gather to the owner.
-              const double pair_bytes =
-                  static_cast<double>(spec.k - 1) * px_bytes;
-              for (std::size_t s = 1; s < n; ++s) {
-                const int c = base + static_cast<int>(s);
-                m.unicast(c - 1, c, pair_bytes);
-                m.unicast(
-                    c, base,
-                    static_cast<double>(
-                        compress::CsrIfmap::footprint_from_count(
-                            scratch.lanes[s].ks.run.out_nnz,
-                            plan.shards[s].extent(), spec.out_w())));
-              }
-            });
-  return merged;
 }
 
 // ---------------------------------------------------------------------------
 // FC fan-in segments (partial-sum sharding)
 // ---------------------------------------------------------------------------
 
-const kernels::LayerRun& ShardedBackend::run_fc_fanin(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, const compress::CsrIfmap& ifmap,
-    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
-  // Partial-sum merges are not FP-associative, so the functional pass runs
-  // unsharded — spikes are bit-exact by construction. Only timing is split.
-  kernels::fc_functional(spec, weights, ifmap, membrane, scratch.main);
-
+void ShardedBackend::price_fc_fanin(const kernels::LayerPlan& plan,
+                                    const snn::LayerSpec& spec,
+                                    const compress::CsrIfmap& ifmap,
+                                    kernels::LayerScratch& scratch,
+                                    int base) const {
   const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     kernels::fc_fanin_shard_timing(spec, ifmap, plan.shards[s].lo,
                                    plan.shards[s].hi, opt_,
@@ -648,10 +565,7 @@ const kernels::LayerRun& ShardedBackend::run_fc_fanin(
   });
 
   kernels::LayerRun& merged = scratch.main.run;
-  const std::size_t out_nnz = merged.out_nnz;  // from the functional pass
-  const int base = cluster_base(spec);
   merge_shard_stats(scratch, n, merged, base);
-  merged.out_nnz = out_nnz;
 
   // Sequential tail: partial vectors cross the NoC to the merging cluster,
   // are reduced group-wise, then thresholded exactly once. The inputs were
@@ -670,95 +584,66 @@ const kernels::LayerRun& ShardedBackend::run_fc_fanin(
       m.unicast(base + static_cast<int>(s), base, per_peer);
     }
   });
-  return merged;
 }
 
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
+const kernels::LayerRun& ShardedBackend::run_layer(
+    const snn::LayerSpec& spec, const snn::LayerWeights& weights,
+    const compress::CsrIfmap* ifmap, const snn::Tensor* image,
+    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
+  const auto plan_ref = plan_handle(spec);  // pinned for this run
+  const kernels::LayerPlan& plan = *plan_ref;
+  SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
+  const StageInfo* stage = stage_info_for(spec);
+  const int base = stage != nullptr ? stage->cluster_lo : 0;
+  // One functional pass over the full layer, whatever the plan: every shard
+  // axis computes each neuron with its complete fan-in in the reference
+  // order, so the plan only decides how the clusters are priced.
+  run_functional(spec, weights, ifmap, image, membrane, scratch);
+  if (plan.n() > 1 && scratch.lanes.size() < plan.n()) {
+    scratch.lanes.resize(plan.n());  // presize_state normally did this
+  }
+  if (plan.n() <= 1) {
+    time_shard(spec, ifmap, scratch.main);
+  } else if (plan.axis == kernels::ShardAxis::kOutputChannel) {
+    price_channel_shards(plan, spec, ifmap, scratch, base);
+  } else if (plan.axis == kernels::ShardAxis::kIfmapStripe &&
+             spec.kind != snn::LayerKind::kFc) {
+    price_stripes(plan, spec, ifmap, scratch, base);
+  } else {
+    SPK_CHECK(plan.axis == kernels::ShardAxis::kFanIn &&
+                  spec.kind == snn::LayerKind::kFc,
+              spec.name << ": unsupported shard axis");
+    price_fc_fanin(plan, spec, *ifmap, scratch, base);
+  }
+  // Every path above lands its merged result in scratch.main.run, so the
+  // stage-boundary handoff (no-op outside stage mode) tails all of them.
+  apply_stage_handoff(spec, stage, scratch.main.run);
+  return scratch.main.run;
+}
+
 const kernels::LayerRun& ShardedBackend::run_conv(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  const auto plan_ref = plan_handle(spec);  // pinned for this run
-  const kernels::LayerPlan& plan = *plan_ref;
-  SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
-  // Every path below lands its merged result in scratch.main.run, so the
-  // stage-boundary handoff (no-op outside stage mode) tails all of them.
-  if (plan.n() <= 1) {
-    kernels::run_conv_layer(spec, weights, ifmap, membrane, opt_,
-                            scratch.main);
-  } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
-    run_stripe_conv(plan, spec, weights, ifmap, membrane, scratch);
-  } else {
-    SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
-              "conv " << spec.name << ": unsupported shard axis");
-    run_channel_sharded(
-        plan, spec, weights, membrane, scratch,
-        static_cast<double>(ifmap.footprint_bytes()),
-        [&](const snn::LayerSpec& sub, const snn::LayerWeights& w,
-            snn::Tensor& m, kernels::KernelScratch& ks) {
-          kernels::run_conv_layer(sub, w, ifmap, m, opt_, ks);
-        });
-  }
-  apply_stage_handoff(spec, scratch.main.run);
-  return scratch.main.run;
+  return run_layer(spec, weights, &ifmap, nullptr, membrane, scratch);
 }
 
 const kernels::LayerRun& ShardedBackend::run_fc(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  const auto plan_ref = plan_handle(spec);  // pinned for this run
-  const kernels::LayerPlan& plan = *plan_ref;
-  SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
-  if (plan.n() <= 1) {
-    kernels::run_fc_layer(spec, weights, ifmap, membrane, opt_, scratch.main);
-  } else if (plan.axis == kernels::ShardAxis::kFanIn) {
-    run_fc_fanin(plan, spec, weights, ifmap, membrane, scratch);
-  } else {
-    SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
-              "fc " << spec.name << ": unsupported shard axis");
-    run_channel_sharded(
-        plan, spec, weights, membrane, scratch,
-        static_cast<double>(ifmap.footprint_bytes()),
-        [&](const snn::LayerSpec& sub, const snn::LayerWeights& w,
-            snn::Tensor& m, kernels::KernelScratch& ks) {
-          kernels::run_fc_layer(sub, w, ifmap, m, opt_, ks);
-        });
-  }
-  apply_stage_handoff(spec, scratch.main.run);
-  return scratch.main.run;
+  return run_layer(spec, weights, &ifmap, nullptr, membrane, scratch);
 }
 
 const kernels::LayerRun& ShardedBackend::run_encode(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const snn::Tensor& padded_image, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  const auto plan_ref = plan_handle(spec);  // pinned for this run
-  const kernels::LayerPlan& plan = *plan_ref;
-  SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
-  if (plan.n() <= 1) {
-    kernels::run_encode_layer(spec, weights, padded_image, membrane, opt_,
-                              scratch.main);
-  } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
-    run_stripe_encode(plan, spec, weights, padded_image, membrane, scratch);
-  } else {
-    SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
-              "encode " << spec.name << ": unsupported shard axis");
-    const double image_bytes =
-        static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
-        spec.in_w * spec.in_c;
-    run_channel_sharded(
-        plan, spec, weights, membrane, scratch, image_bytes,
-        [&](const snn::LayerSpec& sub, const snn::LayerWeights& w,
-            snn::Tensor& m, kernels::KernelScratch& ks) {
-          kernels::run_encode_layer(sub, w, padded_image, m, opt_, ks);
-        });
-  }
-  apply_stage_handoff(spec, scratch.main.run);
-  return scratch.main.run;
+  return run_layer(spec, weights, nullptr, &padded_image, membrane, scratch);
 }
 
 }  // namespace spikestream::runtime

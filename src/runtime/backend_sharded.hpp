@@ -1,21 +1,27 @@
 // Multi-cluster sharded backend, rebuilt on the partition-plan subsystem
-// (kernels/partition.hpp): each layer executes according to an immutable
+// (kernels/partition.hpp): each layer is priced according to an immutable
 // LayerPlan — output-channel tiles, spatial ifmap stripes, or FC fan-in
 // segments — computed once per network at Partitioner::kDefaultDensity
 // (cost-model-driven for the hybrid strategy) and cached by layer signature;
-// only a cluster fail-stop replaces a plan. Shards run on the persistent
-// WorkerPool (shared with BatchRunner when the engine provides one), in
-// per-cluster ShardLanes of the borrowed LayerScratch, so steady-state shard
-// fan-out performs zero heap allocations in both serial and pooled mode.
+// only a cluster fail-stop replaces a plan.
 //
-// Spikes are bit-identical to a single-cluster run for every plan:
-//  * output-channel tiles and row stripes compute each output neuron with its
-//    complete fan-in in the reference accumulation order (disjoint slices,
-//    merge = concatenation);
-//  * fan-in segments would need a non-associative partial-sum merge, so their
-//    *functional* pass runs unsharded and only the timing pass is split —
-//    each cluster is charged for streaming its input-channel band, plus an
-//    explicit partial-reduction tail on the merging cluster.
+// The functional pass never shards. Every layer runs it once over the full
+// layer, on the engine's own weights, straight into the engine's membrane
+// and scratch.main; the plan then shapes only pricing and NoC traffic. Each
+// cluster runs the timing pass of its sub-layer (its channel range, or its
+// halo'd row stripe) over its slice of the output spikes, and an FC fan-in
+// segment is charged for streaming its input-channel band plus an explicit
+// partial-reduction tail on the merging cluster. Spikes are therefore
+// bit-identical to a single-cluster run for every plan by construction, and
+// a weight flipped in the engine's network is seen by every plan at once.
+//
+// Host threading is independent of the plan: with shard_threads on, a conv
+// or encode layer big enough for the pool splits its functional pass into
+// contiguous output-row bands on the persistent WorkerPool (shared with
+// BatchRunner when the engine provides one), and the clusters' timing
+// passes fan out there too. Per-band and per-cluster buffers live in the
+// ShardLanes of the borrowed LayerScratch, so steady state performs zero
+// heap allocations in both serial and pooled mode.
 //
 // Per-cluster KernelStats merge with wall-clock = max and activity = sum;
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
@@ -33,7 +39,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "arch/noc.hpp"
@@ -73,11 +78,12 @@ class ShardedBackend : public ExecutionBackend {
     return pipeline_.enabled && stage_plan_.num_stages() > 1;
   }
 
-  /// Plan every layer and prebuild the output-channel weight slices, so the
-  /// plans live alongside the quantized weights from construction on and the
-  /// first run already executes allocation-light.
+  /// Plan every layer (and, with pipelining on, pin the stage assignment),
+  /// so the plans live alongside the quantized weights from construction on.
+  /// Nothing else is built: shards read the engine's weights directly.
   void prepare(const snn::Network& net) const override;
-  /// One shard lane per planned cluster in every layer's scratch.
+  /// One lane per planned cluster (or host row band, if more) in every
+  /// layer's scratch.
   void presize_state(snn::NetworkState& state,
                      const snn::Network& net) const override;
 
@@ -142,41 +148,57 @@ class ShardedBackend : public ExecutionBackend {
   }
 
  private:
-  /// One entry per (weight tensor, channel range): the strided copy of the
-  /// weight slice a cluster owns. Cached because weights are immutable for
-  /// the lifetime of the engine that drives this backend. Hits are validated
-  /// against the source (boundary elements), so an allocator reusing a freed
-  /// weight vector's address for a different network cannot serve a stale
-  /// slice — the entry is recomputed in place instead.
-  const snn::LayerWeights& shard_weights(const snn::LayerWeights& w, int lo,
-                                         int hi) const;
+  /// Per-layer stage assignment, filled by prepare() in stage mode. Keyed by
+  /// layer signature like the plan cache; read-only after prepare.
+  struct StageInfo {
+    int stage = 0;
+    int cluster_lo = 0;  ///< first cluster of the owning group
+    int group = 1;       ///< group width the layer's plan was sized for
+    bool boundary = false;       ///< last layer of a non-final stage
+    int next_cluster_lo = 0;     ///< consumer group's lead cluster
+  };
 
   /// True when `spec` is big enough for pool fan-out to beat its handoff
-  /// overhead (the per-shard minimum-work cutoff).
+  /// overhead (the minimum-work cutoff).
   bool pool_worthwhile(const snn::LayerSpec& spec) const;
+  /// Output-row bands the functional pass of `spec` splits into: one per
+  /// simulated cluster (capped at the output rows) when threads are on and
+  /// the layer is pool-worthwhile, else 1. FC layers have one row.
+  std::size_t host_bands(const snn::LayerSpec& spec) const;
 
   /// Run `fn(shard_index)` for every shard — on the pool when `pooled`,
   /// serially otherwise (bit-identical either way).
   void for_shards(std::size_t n, bool pooled,
                   common::FunctionRef<void(std::size_t)> fn) const;
 
-  /// Merge per-shard stats into `merged` (wall-clock max / activity sum),
-  /// keep the slowest shard's DMA plan, and sum out_nnz. `base` is the first
-  /// cluster slot the shards run on: a slot with an injected slowdown has
-  /// its shard's wall-clock scaled by the straggler factor before the max.
-  /// Returns the index of the slowest shard.
-  std::size_t merge_shard_stats(const kernels::LayerScratch& scratch,
-                                std::size_t n, kernels::LayerRun& merged,
-                                int base) const;
+  /// The whole layer's functional pass into scratch.main and `membrane`.
+  /// Conv/encode split into host_bands(spec) row bands; FC is one call.
+  /// `ifmap` is null for encode layers, `image` for the others.
+  void run_functional(const snn::LayerSpec& spec,
+                      const snn::LayerWeights& weights,
+                      const compress::CsrIfmap* ifmap,
+                      const snn::Tensor* image, snn::Tensor& membrane,
+                      kernels::LayerScratch& scratch) const;
+  /// The timing pass matching `sub.kind` over `ks.run.out_spikes`.
+  void time_shard(const snn::LayerSpec& sub, const compress::CsrIfmap* ifmap,
+                  kernels::KernelScratch& ks) const;
 
-  /// Shared row-stripe merge (conv + encode): scatter spike/membrane row
-  /// bands back, merge stats, return the ofmap gather traffic of shards
-  /// 1..n-1.
-  double merge_stripe_shards(const kernels::LayerPlan& plan,
-                             const snn::LayerSpec& spec,
-                             kernels::LayerScratch& scratch,
-                             snn::Tensor& membrane, kernels::LayerRun& merged,
-                             int base) const;
+  /// Shared body of run_conv / run_fc / run_encode: pin the plan, run the
+  /// functional pass once, price the plan's shards, charge a stage handoff.
+  const kernels::LayerRun& run_layer(const snn::LayerSpec& spec,
+                                     const snn::LayerWeights& weights,
+                                     const compress::CsrIfmap* ifmap,
+                                     const snn::Tensor* image,
+                                     snn::Tensor& membrane,
+                                     kernels::LayerScratch& scratch) const;
+
+  /// Merge per-shard stats into `merged` (wall-clock max / activity sum)
+  /// and keep the slowest shard's DMA plan; spikes and out_nnz stay the
+  /// functional pass's. `base` is the first cluster slot the shards run on:
+  /// a slot with an injected slowdown has its shard's wall-clock scaled by
+  /// the straggler factor before the max.
+  void merge_shard_stats(const kernels::LayerScratch& scratch, std::size_t n,
+                         kernels::LayerRun& merged, int base) const;
 
   /// Record inter-cluster traffic and, with contention modeling on, let the
   /// fabric gate the layer's wall-clock (the raise is itemized in
@@ -193,46 +215,32 @@ class ShardedBackend : public ExecutionBackend {
   /// Boundary-layer tail of a pipeline stage: charge the producing group for
   /// packing its output spikes into the inter-stage FIFO and for the handoff
   /// crossing to the consumer group's lead cluster. No-op outside stage mode
-  /// (historical runs are bit-exact).
-  void apply_stage_handoff(const snn::LayerSpec& spec,
+  /// (`info` null) and for non-boundary layers.
+  void apply_stage_handoff(const snn::LayerSpec& spec, const StageInfo* info,
                            kernels::LayerRun& run) const;
 
-  /// Output-channel tiling: shard the layer along SIMD-aligned channel
-  /// ranges, broadcast the input, run `kernel` per shard, concatenate.
-  /// `input_bytes` is one cluster's copy of the layer input (for the NoC
-  /// broadcast charge).
-  const kernels::LayerRun& run_channel_sharded(
-      const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-      const snn::LayerWeights& weights, snn::Tensor& membrane,
-      kernels::LayerScratch& scratch, double input_bytes,
-      common::FunctionRef<void(const snn::LayerSpec&, const snn::LayerWeights&,
-                               snn::Tensor&, kernels::KernelScratch&)>
-          kernel) const;
+  // The pricing passes below run after run_functional: scratch.main.run
+  // holds the full layer's spikes, and each cluster's timing pass reads its
+  // slice of them. `base` is the first cluster slot of the executing group.
 
-  const kernels::LayerRun& run_stripe_conv(const kernels::LayerPlan& plan,
-                                           const snn::LayerSpec& spec,
-                                           const snn::LayerWeights& weights,
-                                           const compress::CsrIfmap& ifmap,
-                                           snn::Tensor& membrane,
-                                           kernels::LayerScratch& scratch)
-      const;
-  const kernels::LayerRun& run_stripe_encode(const kernels::LayerPlan& plan,
-                                             const snn::LayerSpec& spec,
-                                             const snn::LayerWeights& weights,
-                                             const snn::Tensor& padded_image,
-                                             snn::Tensor& membrane,
-                                             kernels::LayerScratch& scratch)
-      const;
-  const kernels::LayerRun& run_fc_fanin(const kernels::LayerPlan& plan,
-                                        const snn::LayerSpec& spec,
-                                        const snn::LayerWeights& weights,
-                                        const compress::CsrIfmap& ifmap,
-                                        snn::Tensor& membrane,
-                                        kernels::LayerScratch& scratch) const;
-
-  /// Cache key: source identity plus shape, so only an allocation reused at
-  /// the same address *and* shape can collide (then caught by validation).
-  using WeightKey = std::tuple<const float*, std::size_t, int, int, int, int>;
+  /// Output-channel tiling: the input is broadcast, each cluster prices its
+  /// SIMD-aligned channel range, the owner gathers the ofmap slices.
+  void price_channel_shards(const kernels::LayerPlan& plan,
+                            const snn::LayerSpec& spec,
+                            const compress::CsrIfmap* ifmap,
+                            kernels::LayerScratch& scratch, int base) const;
+  /// Ifmap stripes (conv and encode): each cluster prices its output-row
+  /// band over its halo'd input stripe; neighbors exchange halos.
+  void price_stripes(const kernels::LayerPlan& plan,
+                     const snn::LayerSpec& spec,
+                     const compress::CsrIfmap* ifmap,
+                     kernels::LayerScratch& scratch, int base) const;
+  /// FC fan-in segments: each cluster prices its input-channel band, plus
+  /// the partial-sum reduction tail on the merging cluster.
+  void price_fc_fanin(const kernels::LayerPlan& plan,
+                      const snn::LayerSpec& spec,
+                      const compress::CsrIfmap& ifmap,
+                      kernels::LayerScratch& scratch, int base) const;
 
   /// Current plan by copyable handle: the dispatch path pins the plan it
   /// executes with for the whole layer run, so a fail-stop re-plan can swap
@@ -262,23 +270,11 @@ class ShardedBackend : public ExecutionBackend {
         std::memory_order_relaxed);
   }
 
-  /// Per-layer stage assignment, filled by prepare() in stage mode. Keyed by
-  /// layer signature like the plan cache; read-only after prepare.
-  struct StageInfo {
-    int stage = 0;
-    int cluster_lo = 0;  ///< first cluster of the owning group
-    int group = 1;       ///< group width the layer's plan was sized for
-    bool boundary = false;       ///< last layer of a non-final stage
-    int next_cluster_lo = 0;     ///< consumer group's lead cluster
-  };
-
   /// This layer's stage assignment, or null outside stage mode / for layers
   /// the prepared network did not contain (they run at the full cluster
-  /// count, exactly like an unknown signature in the plan cache).
+  /// count, exactly like an unknown signature in the plan cache). Looked up
+  /// once per layer run.
   const StageInfo* stage_info_for(const snn::LayerSpec& spec) const;
-  /// First cluster of the group executing `spec` (0 outside stage mode) —
-  /// anchors link-level NoC charges at the group's real ring position.
-  int cluster_base(const snn::LayerSpec& spec) const;
 
   int clusters_;
   bool threads_;
@@ -292,8 +288,6 @@ class ShardedBackend : public ExecutionBackend {
   mutable kernels::StagePlan stage_plan_;
   mutable std::map<std::uint64_t, StageInfo> stage_info_;
   std::shared_ptr<WorkerPool> pool_;
-  mutable std::mutex mu_;
-  mutable std::map<WeightKey, snn::LayerWeights> weight_cache_;
   /// Reader-writer lock: after prepare() the plan cache is read-only on the
   /// hot path (one shared acquisition per layer dispatch); the exclusive
   /// side only runs for specs never planned before — or for a fail-stop

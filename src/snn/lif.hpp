@@ -17,6 +17,26 @@ struct LifParams {
   float v_rst = 1.0f;   ///< reset subtraction (kept equal to v_th)
 };
 
+/// Rows [row_lo, row_hi) of lif_step_into, for callers that split one layer
+/// into row bands: `out` must already have the layer's shape. Rows are
+/// contiguous in HWC and the step is elementwise, so disjoint bands may run
+/// concurrently and together equal one whole-layer call bit for bit.
+/// Returns the band's spike count.
+inline std::size_t lif_step_rows(const LifParams& p, const Tensor& current,
+                                 Tensor& membrane, SpikeMap& out, int row_lo,
+                                 int row_hi) {
+  SPK_CHECK(current.same_shape(membrane) && out.h == current.h &&
+                out.w == current.w && out.c == current.c,
+            "LIF shape mismatch");
+  const std::size_t row =
+      static_cast<std::size_t>(current.w) * static_cast<std::size_t>(current.c);
+  const std::size_t lo = static_cast<std::size_t>(row_lo) * row;
+  return common::simd::lif_step(current.v.data() + lo, membrane.v.data() + lo,
+                                out.v.data() + lo,
+                                static_cast<std::size_t>(row_hi - row_lo) * row,
+                                p.alpha, p.r, p.v_th, p.v_rst);
+}
+
 /// One LIF timestep over a whole layer into a caller-owned spike buffer
 /// (scratch-arena reuse, zero allocations in steady state): integrates
 /// `current` into `membrane` (updated in place), writes the output spikes and
@@ -25,11 +45,8 @@ struct LifParams {
 /// mem * alpha + (r * cur), so results are bit-identical across tiers.
 inline std::size_t lif_step_into(const LifParams& p, const Tensor& current,
                                  Tensor& membrane, SpikeMap& out) {
-  SPK_CHECK(current.same_shape(membrane), "LIF shape mismatch");
   out.reshape(current.h, current.w, current.c);
-  return common::simd::lif_step(current.v.data(), membrane.v.data(),
-                                out.v.data(), current.v.size(), p.alpha, p.r,
-                                p.v_th, p.v_rst);
+  return lif_step_rows(p, current, membrane, out, 0, current.h);
 }
 
 /// One LIF timestep over a whole layer: integrates `current` into `membrane`

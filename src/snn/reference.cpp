@@ -52,12 +52,21 @@ Tensor Reference::conv_currents_dense(const Tensor& in, const LayerWeights& w) {
 
 void Reference::conv_currents_dense_into(const Tensor& in,
                                          const LayerWeights& w, Tensor& out) {
+  out.reshape(in.h - w.k + 1, in.w - w.k + 1, w.out_c);
+  conv_currents_dense_rows(in, w, 0, out.h, out);
+}
+
+void Reference::conv_currents_dense_rows(const Tensor& in,
+                                         const LayerWeights& w, int oy_lo,
+                                         int oy_hi, Tensor& out) {
   const int k = w.k;
   const int out_c = w.out_c;
-  out.reshape(in.h - k + 1, in.w - k + 1, out_c);
-  std::fill(out.v.begin(), out.v.end(), 0.0f);
+  const std::size_t row_elems =
+      static_cast<std::size_t>(out.w) * static_cast<std::size_t>(out_c);
+  std::fill_n(out.v.data() + static_cast<std::size_t>(oy_lo) * row_elems,
+              static_cast<std::size_t>(oy_hi - oy_lo) * row_elems, 0.0f);
   const float* wbase = w.v.data();
-  for (int oy = 0; oy < out.h; ++oy) {
+  for (int oy = oy_lo; oy < oy_hi; ++oy) {
     for (int ox = 0; ox < out.w; ++ox) {
       float* __restrict__ acc = &out.at(oy, ox, 0);
       for (int kh = 0; kh < k; ++kh) {

@@ -41,6 +41,12 @@ class Reference {
   /// too, so kernel and reference stay bit-identical by construction.
   static void conv_currents_dense_into(const Tensor& in_padded,
                                        const LayerWeights& w, Tensor& out);
+  /// Output rows [oy_lo, oy_hi) of conv_currents_dense_into, zeroed and
+  /// accumulated in place; `out` must already have the output shape. Bands
+  /// over disjoint rows touch disjoint memory and may run concurrently.
+  static void conv_currents_dense_rows(const Tensor& in_padded,
+                                       const LayerWeights& w, int oy_lo,
+                                       int oy_hi, Tensor& out);
   static Tensor fc_currents(const SpikeMap& in_flat, const LayerWeights& w);
   static Tensor pad_dense(const Tensor& t, int p);
   /// Scratch-buffer variant of pad_dense (engine hot path).

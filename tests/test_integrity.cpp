@@ -22,6 +22,7 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "runtime/backend_sharded.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/integrity.hpp"
 #include "runtime/multistep.hpp"
@@ -210,6 +211,48 @@ TEST(IntegrityPrimitives, FlipsAreInvolutiveAndSealsCatchThem) {
   EXPECT_STREQ(rt::seal_point_name(rt::SealPoint::kHandoff), "handoff");
   EXPECT_STREQ(rt::fault_kind_name(rt::FaultKind::kWeightBitFlip),
                "weight-bit-flip");
+}
+
+TEST(IntegrityPrimitives, InteriorWeightFlipReachesChannelShardedEngine) {
+  // mutable_weights() promises a flip is functionally visible to every
+  // backend. Flip exponent bits of interior weights — neither the first nor
+  // the last element of any cluster's channel range — on an analytical and
+  // a 2-cluster output-channel sharded engine: per-layer outputs must match.
+  const snn::Network net = test_net();
+  k::RunOptions opt;
+  rt::InferenceEngine analytical(net, opt);
+  rt::InferenceEngine sharded2(net, opt, sharded(2));
+  const auto& sb = dynamic_cast<const rt::ShardedBackend&>(sharded2.backend());
+  ASSERT_EQ(sb.plan_for(net.layer(1)).axis, k::ShardAxis::kOutputChannel);
+  ASSERT_EQ(sb.plan_for(net.layer(1)).n(), 2u);
+
+  for (rt::InferenceEngine* engine : {&analytical, &sharded2}) {
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      snn::LayerWeights& w = engine->mutable_weights(l);
+      const bool half = w.half_exact && !w.half.empty();
+      const std::uint64_t bits = half ? 16 : 32;
+      const std::uint64_t exp_msb = half ? 14 : 30;
+      const std::uint64_t n = w.v.size();
+      for (const std::uint64_t e : {n / 3 + 1, n / 2 + 1, 2 * n / 3 + 1}) {
+        rt::flip_weight_bit(w, e * bits + exp_msb);
+      }
+    }
+  }
+
+  const auto images = snn::make_batch(2, 13, 16, 16, 3);
+  for (const auto& img : images) {
+    snn::NetworkState sa = analytical.make_state();
+    snn::NetworkState ss = sharded2.make_state();
+    for (int t = 0; t < 3; ++t) {
+      const auto ra = analytical.run(img, sa);
+      const auto rs = sharded2.run(img, ss);
+      ASSERT_EQ(ra.final_output.v, rs.final_output.v) << "t=" << t;
+      for (std::size_t l = 0; l < ra.layers.size(); ++l) {
+        EXPECT_EQ(ra.layers[l].out_firing_rate, rs.layers[l].out_firing_rate)
+            << "t=" << t << " layer " << l;
+      }
+    }
+  }
 }
 
 namespace {

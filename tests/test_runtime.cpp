@@ -1,11 +1,13 @@
 // Multi-timestep runner, the batch runner's two schedules and its
-// weight-reuse lane semantics, event-driven input, strided-indirect option,
-// and the ISS instruction trace.
+// weight-reuse lane semantics, the sharded backend's host row bands,
+// event-driven input, strided-indirect option, and the ISS instruction
+// trace.
 #include <gtest/gtest.h>
 
 #include "arch/cluster.hpp"
 #include "arch/program.hpp"
 #include "common/rng.hpp"
+#include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/multistep.hpp"
 #include "snn/calibrate.hpp"
@@ -195,6 +197,72 @@ TEST(BatchRunner, BatchWeightReuseColdStartVsSteadyState) {
   const auto again = runner.run_single_step(doubled);
   for (std::size_t i = 0; i < doubled.size(); ++i) {
     EXPECT_DOUBLE_EQ(res[i].total_cycles, again[i].total_cycles) << i;
+  }
+}
+
+TEST(ShardedHostBands, UnevenRowBandsBitExactWithSerialRuns) {
+  // Three clusters with the pool cutoff at zero split every conv/encode
+  // layer's functional pass into three host row bands; the tiny net's
+  // layers have four output rows, so the bands are uneven (1/1/2). Pooled
+  // and serial runs must agree on spikes and on every modeled stat, under
+  // both the channel and the stripe plan.
+  snn::Network net = snn::Network::make_tiny(6, 3, 16, 10);
+  sc::Rng rng(11);
+  net.init_weights(rng);
+  const auto calib = snn::make_batch(4, 7, 4, 4, 3);
+  const std::vector<double> targets = {0.25, 0.20, 0.30};
+  snn::calibrate_thresholds(net, calib, targets);
+  const auto images = snn::make_batch(2, 21, 4, 4, 3);
+  k::RunOptions opt;
+  const rt::InferenceEngine analytical(net, opt);
+
+  for (const auto strategy : {k::PartitionStrategy::kOutputChannel,
+                              k::PartitionStrategy::kIfmapStripe}) {
+    rt::BackendConfig cfg;
+    cfg.kind = rt::BackendKind::kSharded;
+    cfg.clusters = 3;
+    cfg.partition = strategy;
+    cfg.shard_min_work = 0;
+    cfg.shard_threads = true;
+    const rt::InferenceEngine pooled(net, opt, cfg);
+    cfg.shard_threads = false;
+    const rt::InferenceEngine serial(net, opt, cfg);
+
+    const auto& sb = dynamic_cast<const rt::ShardedBackend&>(pooled.backend());
+    const k::ShardAxis axis = strategy == k::PartitionStrategy::kIfmapStripe
+                                  ? k::ShardAxis::kIfmapStripe
+                                  : k::ShardAxis::kOutputChannel;
+    for (std::size_t l = 0; l < 2; ++l) {  // encode + conv
+      ASSERT_EQ(net.layer(l).out_h(), 4);
+      const k::LayerPlan& plan = sb.plan_for(net.layer(l));
+      ASSERT_EQ(plan.axis, axis) << "layer " << l;
+      ASSERT_EQ(plan.n(), 3u) << "layer " << l;
+    }
+
+    const char* name = k::partition_strategy_name(strategy);
+    for (const auto& img : images) {
+      snn::NetworkState sa = analytical.make_state();
+      snn::NetworkState sp = pooled.make_state();
+      snn::NetworkState ss = serial.make_state();
+      for (int t = 0; t < 3; ++t) {
+        const auto ra = analytical.run(img, sa);
+        const auto rp = pooled.run(img, sp);
+        const auto rs = serial.run(img, ss);
+        ASSERT_EQ(rp.final_output.v, rs.final_output.v) << name << " t=" << t;
+        ASSERT_EQ(rp.final_output.v, ra.final_output.v) << name << " t=" << t;
+        for (std::size_t l = 0; l < rp.layers.size(); ++l) {
+          const auto& p = rp.layers[l];
+          const auto& q = rs.layers[l];
+          EXPECT_EQ(p.out_firing_rate, q.out_firing_rate) << name << " l=" << l;
+          EXPECT_EQ(p.out_firing_rate, ra.layers[l].out_firing_rate)
+              << name << " l=" << l;
+          EXPECT_EQ(p.stats.cycles, q.stats.cycles) << name << " l=" << l;
+          EXPECT_EQ(p.stats.fpu_ops, q.stats.fpu_ops) << name << " l=" << l;
+          EXPECT_EQ(p.stats.dma_bytes, q.stats.dma_bytes) << name << " l=" << l;
+          EXPECT_EQ(p.stats.noc_bytes, q.stats.noc_bytes) << name << " l=" << l;
+        }
+      }
+    }
   }
 }
 

@@ -195,25 +195,32 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsPooledSharded) {
   // The persistent worker pool extends the zero-allocation contract to the
   // threaded sharded mode: shard fan-out submits stack jobs onto pre-created
   // threads and every per-shard buffer lives in a plan-presized ShardLane.
-  // The hybrid strategy routes this net through all three shard axes.
+  // The hybrid strategy routes this net through all three shard axes; a
+  // zero minimum-work cutoff also splits every conv/encode functional pass
+  // into host row bands on the pool.
   const snn::Network net = test_net();
   const auto img = snn::make_batch(1, 9, 16, 16, 3)[0];
   k::RunOptions opt;
-  rt::BackendConfig cfg;
-  cfg.kind = rt::BackendKind::kSharded;
-  cfg.clusters = 4;
-  cfg.shard_threads = true;  // pooled mode — the historical allocator
-  cfg.partition = spikestream::kernels::PartitionStrategy::kHybrid;
-  const rt::InferenceEngine engine(net, opt, cfg);
-  snn::NetworkState state = engine.make_state();
-  rt::InferenceResult res;
-  // Warm until occupancy (and with it every arena capacity) settles.
-  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 5; ++t) engine.run(img, state, res);
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u)
-      << "pooled sharded steady state must not touch the heap";
+  for (const int min_work : {rt::BackendConfig{}.shard_min_work, 0}) {
+    rt::BackendConfig cfg;
+    cfg.kind = rt::BackendKind::kSharded;
+    cfg.clusters = 4;
+    cfg.shard_threads = true;  // pooled mode — the historical allocator
+    cfg.shard_min_work = min_work;
+    cfg.partition = spikestream::kernels::PartitionStrategy::kHybrid;
+    const rt::InferenceEngine engine(net, opt, cfg);
+    snn::NetworkState state = engine.make_state();
+    rt::InferenceResult res;
+    // Warm until occupancy (and with it every arena capacity) settles.
+    ASSERT_TRUE(warm_until_quiet(engine, img, state, res))
+        << "min_work=" << min_work;
+    const std::size_t before = spikestream::alloc_hook::allocs();
+    for (int t = 0; t < 5; ++t) engine.run(img, state, res);
+    const std::size_t after = spikestream::alloc_hook::allocs();
+    EXPECT_EQ(after - before, 0u)
+        << "pooled sharded steady state must not touch the heap, min_work="
+        << min_work;
+  }
 }
 
 TEST(ScratchReuse, CsrEncodeIntoReusesBuffers) {
