@@ -103,31 +103,26 @@ void BatchRunner::run_fan_out(const std::vector<snn::Tensor>& images,
   pool_->parallel_for(images.size(), states.size(), sample);
 }
 
-// Wave lanes own one NetworkState each; all lanes advance through the same
-// layer together so segmented FC layers execute as one batch-scope call.
+// Wave lanes own one NetworkState each; InferenceEngine::run_wave advances
+// a chunk of up to W samples through the network layer by layer together.
 void BatchRunner::run_waves(const std::vector<snn::Tensor>& images,
                             int timesteps,
                             std::vector<snn::NetworkState>& states,
                             StepOut out, StepDone done) const {
   const std::size_t n = images.size();
-  const std::size_t layers = engine_.network().num_layers();
   const std::size_t W = states.size();
   std::vector<InferenceEngine::BatchLane> lanes(W);
-  WorkerPool* pool = pool_.get();
   for (std::size_t w0 = 0; w0 < n; w0 += W) {
     const std::size_t wn = std::min(W, n - w0);
-    for (std::size_t i = 0; i < wn; ++i) states[i].clear();
-    for (int t = 0; t < timesteps; ++t) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        InferenceResult& step = out(i, w0 + i);
-        engine_.begin_sample(step);
-        lanes[i] = {&images[w0 + i], nullptr, &states[i], &step};
-      }
-      for (std::size_t l = 0; l < layers; ++l) {
-        engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
-      }
-      for (std::size_t i = 0; i < wn; ++i) done(w0 + i, *lanes[i].out);
+    for (std::size_t i = 0; i < wn; ++i) {
+      lanes[i] = {&images[w0 + i], nullptr, &states[i], &out(i, w0 + i)};
     }
+    engine_.run_wave(std::span(lanes.data(), wn), timesteps, pool_.get(),
+                     [&](int) {
+                       for (std::size_t i = 0; i < wn; ++i) {
+                         done(w0 + i, *lanes[i].out);
+                       }
+                     });
   }
 }
 

@@ -15,10 +15,11 @@
 //
 // Segment-major lockstep: with RunOptions::segment_major_lanes >= 2 the
 // runner switches from sample fan-out to lockstep waves — up to that many
-// samples advance through the network layer by layer *together*, handing all
-// wave lanes to the backend in one call per segmented FC layer
-// (InferenceEngine::run_layer_batch), so each fan-in weight band streams
-// once per wave instead of once per sample. Non-FC layers of a wave still
+// samples advance through the network layer by layer *together* in one
+// InferenceEngine::run_wave call per chunk (the same loop the server drives,
+// with no layer hooks), handing all wave lanes to the backend in one call
+// per segmented FC layer, so each fan-in weight band streams once per wave
+// instead of once per sample. Non-FC layers of a wave still
 // fan out across the pool. Outputs and modeled stats stay bit-identical to
 // the per-sample path (the segment-major accounting is deterministic
 // per-sample, independent of the execution schedule).
@@ -82,7 +83,7 @@ class BatchRunner {
   void run_fan_out(const std::vector<snn::Tensor>& images, int timesteps,
                    std::vector<snn::NetworkState>& states, StepOut out,
                    StepDone done) const;
-  /// Lockstep waves: up to slots(n) samples advance layer by layer together.
+  /// Lockstep waves: chunks of up to slots(n) samples, one run_wave each.
   void run_waves(const std::vector<snn::Tensor>& images, int timesteps,
                  std::vector<snn::NetworkState>& states, StepOut out,
                  StepDone done) const;

@@ -239,6 +239,25 @@ void InferenceEngine::run_layer_batch(std::size_t l,
   }
 }
 
+void InferenceEngine::run_wave(std::span<BatchLane> lanes, int timesteps,
+                               WorkerPool* pool,
+                               common::FunctionRef<void(int t)> step_done,
+                               const WaveHooks* hooks) const {
+  for (BatchLane& lane : lanes) lane.state->clear();
+  for (int t = 0; t < timesteps; ++t) {
+    for (BatchLane& lane : lanes) {
+      begin_sample(*lane.out);
+      lane.carry = nullptr;
+    }
+    for (std::size_t l = 0; l < net_.num_layers(); ++l) {
+      if (hooks != nullptr) hooks->before_layer(t, l);
+      run_layer_batch(l, lanes, pool);
+      if (hooks != nullptr) hooks->after_layer(t, l);
+    }
+    step_done(t);
+  }
+}
+
 void InferenceEngine::run_impl(const snn::Tensor* image,
                                const snn::SpikeMap* events,
                                snn::NetworkState& state,

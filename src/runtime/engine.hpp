@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arch/energy.hpp"
+#include "common/function_ref.hpp"
 #include "kernels/layer_kernels.hpp"
 #include "runtime/backend.hpp"
 #include "snn/network.hpp"
@@ -108,9 +109,9 @@ class InferenceEngine {
                                  InferenceResult& out) const;
 
   // --- batch-scope layer stepping (segment-major lockstep executors) --------
-  // One lane per in-flight sample of a lockstep wave: the runners advance
-  // all lanes through the same layer together, which lets a segmented FC
-  // layer hand every lane to the backend in a single run_fc_batch call (the
+  // One lane per in-flight sample of a lockstep wave: run_wave advances all
+  // lanes through the same layer together, which lets a segmented FC layer
+  // hand every lane to the backend in a single run_fc_batch call (the
   // weight bands then stream once per wave instead of once per sample).
   // `carry` is updated in place by run_layer_batch, exactly like the pointer
   // run_layer returns.
@@ -130,6 +131,26 @@ class InferenceEngine {
   /// run_layer per lane in order, including modeled stats.
   void run_layer_batch(std::size_t l, std::span<BatchLane> lanes,
                        WorkerPool* pool = nullptr) const;
+
+  /// Per-layer observers of a lockstep wave (see run_wave).
+  struct WaveHooks {
+    common::FunctionRef<void(int t, std::size_t l)> before_layer;
+    common::FunctionRef<void(int t, std::size_t l)> after_layer;
+  };
+
+  /// The one lockstep wave loop (BatchRunner's waves, the server's primary
+  /// and shadow passes). The caller sets each lane's image, state and out;
+  /// run_wave clears every lane's state on entry, so re-running a wave
+  /// after a throw lands bit-identical to a clean run. Each timestep runs
+  /// begin_sample and resets carry on every lane, calls run_layer_batch for
+  /// each layer — bracketed by hooks->before_layer(t, l) / after_layer(t, l)
+  /// when `hooks` is non-null — then step_done(t). Hooks and step_done run
+  /// on the calling thread with no pool work in flight: they may touch any
+  /// lane, and one that throws leaves nothing running. Lanes are image-fed
+  /// (carry starts null every timestep).
+  void run_wave(std::span<BatchLane> lanes, int timesteps, WorkerPool* pool,
+                common::FunctionRef<void(int t)> step_done,
+                const WaveHooks* hooks = nullptr) const;
 
   /// Fresh zeroed membrane state shaped for this engine's network, with the
   /// scratch arenas pre-sized for the backend's execution shape (one shard

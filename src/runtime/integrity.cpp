@@ -6,17 +6,6 @@
 
 namespace spikestream::runtime {
 
-const char* seal_point_name(SealPoint p) {
-  switch (p) {
-    case SealPoint::kAdmission: return "admission";
-    case SealPoint::kWeights: return "weights";
-    case SealPoint::kHandoff: return "handoff";
-    case SealPoint::kCompletion: return "completion";
-    case SealPoint::kRedundant: return "redundant";
-  }
-  return "?";
-}
-
 Seal seal_weights(const snn::LayerWeights& w) {
   const std::size_t float_bytes = w.v.size() * sizeof(float);
   std::uint32_t crc = common::simd::crc32c(w.v.data(), float_bytes);

@@ -58,17 +58,6 @@ class IntegrityFault : public TransientFault {
   explicit IntegrityFault(const std::string& what) : TransientFault(what) {}
 };
 
-/// Where a seal guards the dataflow (names for fault messages and reports).
-enum class SealPoint {
-  kAdmission,   ///< input image, sealed at submit(), verified at wave start
-  kWeights,     ///< per-layer weight slice, sealed once, verified per attempt
-  kHandoff,     ///< spike carry crossing a layer/cluster boundary
-  kCompletion,  ///< final output map, seal published with the result
-  kRedundant,   ///< primary-vs-shadow per-timestep output comparison
-};
-
-const char* seal_point_name(SealPoint p);
-
 /// CRC32C checksum + length of one sealed buffer. Two buffers with equal
 /// seals are byte-identical up to CRC32C collision odds; the length guard
 /// also catches truncation, which a bare CRC of a shorter prefix would not.
@@ -127,10 +116,6 @@ struct IntegrityConfig {
   bool redundant_lanes = false;
   /// Modeled CRC checker throughput (bytes/cycle) for the crc_cycles stat.
   double crc_bytes_per_cycle = 64.0;
-
-  bool any() const {
-    return checksum_spikes || checksum_weights || redundant_lanes;
-  }
 };
 
 // --- SDC injection primitives ----------------------------------------------

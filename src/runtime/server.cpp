@@ -64,12 +64,7 @@ InferenceServer::InferenceServer(const snn::Network& net,
   const auto lanes = static_cast<std::size_t>(max_lanes_);
   wave_.resize(lanes, nullptr);
   enqueue_snap_.resize(lanes, 0);
-  states_.resize(lanes);
-  for (auto& s : states_) s = engine_.make_state();
-  steps_.resize(lanes);
-  lanes_.resize(lanes);
-  out_crc_.resize(lanes, 0);
-  out_bytes_.resize(lanes, 0);
+  primary_.resize(engine_, lanes);
   wave_data_faults_.reserve(cfg_.faults.size());
 
   // Golden weight seals: computed once over the quantized slices the engine
@@ -286,15 +281,13 @@ int InferenceServer::apply_fault_events() {
   return transient_failures;
 }
 
-void InferenceServer::ensure_shadow() {
-  if (!shadow_states_.empty()) return;
-  const auto lanes = static_cast<std::size_t>(max_lanes_);
-  shadow_states_.resize(lanes);
-  for (auto& s : shadow_states_) s = engine_.make_state();
-  shadow_steps_.resize(lanes);
-  shadow_lanes_.resize(lanes);
-  shadow_crc_.resize(lanes, 0);
-  shadow_bytes_.resize(lanes, 0);
+void InferenceServer::LaneSet::resize(const InferenceEngine& engine,
+                                      std::size_t lanes) {
+  states.resize(lanes);
+  for (auto& s : states) s = engine.make_state();
+  steps.resize(lanes);
+  this->lanes.resize(lanes);
+  seals.resize(lanes);
 }
 
 void InferenceServer::execute_wave(std::size_t wn, int target,
@@ -335,11 +328,19 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   for (std::size_t i = 0; i < wn && !redundant; ++i) {
     redundant = wave_[i]->redundant;
   }
-  if (redundant) ensure_shadow();
+  if (redundant && shadow_.states.empty()) {
+    shadow_.resize(engine_, static_cast<std::size_t>(max_lanes_));
+  }
   const bool seal_outputs = integ.checksum_spikes || redundant;
   std::uint64_t checks = 0, mismatches = 0, ifaults = 0, injected = 0;
   std::uint64_t sealed_bytes = 0;
 
+  // The attempt being run: data events corrupt only a wave's first
+  // `failures` attempts, so retries past that budget run clean.
+  int attempt = 0;
+  const auto live = [&](const FaultEvent& e, FaultKind kind) {
+    return e.kind == kind && attempt < e.failures;
+  };
   const auto target_layer = [&](const FaultEvent& e) {
     return static_cast<std::size_t>(e.layer) % layers;
   };
@@ -350,196 +351,182 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   // slices), so they are applied right before a primary pass and undone
   // right after — the involution makes undo == re-apply — which both makes
   // retries past the failure budget run clean and models the shadow pass's
-  // disjoint clusters owning uncorrupted weight copies.
-  const auto toggle_weight_flips = [&](int attempt) {
+  // disjoint clusters owning uncorrupted weight copies. Returns the flips.
+  const auto toggle_weight_flips = [&] {
+    std::uint64_t flips = 0;
     for (const FaultEvent& e : wave_data_faults_) {
-      if (e.kind == FaultKind::kWeightBitFlip && attempt < e.failures) {
+      if (live(e, FaultKind::kWeightBitFlip)) {
         flip_weight_bit(engine_.mutable_weights(target_layer(e)), e.bit);
+        ++flips;
+      }
+    }
+    return flips;
+  };
+
+  // Both passes are InferenceEngine::run_wave — the offline lockstep loop —
+  // over their own lane set. run_wave clears lane state on entry and
+  // begin_sample resets each step without surrendering capacity, so a
+  // retried wave re-runs from timestep 0 allocation-free and lands
+  // bit-identical to a clean run. Both passes chain every timestep's final
+  // output into their lanes' completion seals for the redundancy compare.
+  WorkerPool* pool = pool_.get();
+  const auto bind_lanes = [&](LaneSet& set) {
+    for (std::size_t i = 0; i < wn; ++i) {
+      set.lanes[i] = {wave_[i]->image, nullptr, &set.states[i], &set.steps[i]};
+      set.seals[i] = Seal{};
+    }
+    return std::span(set.lanes.data(), wn);
+  };
+  const auto seal_output = [&](LaneSet& set, std::size_t i) {
+    const auto& fo = set.steps[i].final_output.v;
+    Seal& s = set.seals[i];
+    s.crc = common::simd::crc32c(fo.data(), fo.size(), s.crc);
+    s.bytes += fo.size();
+    sealed_bytes += fo.size();
+  };
+
+  // Primary-pass hooks: injections and handoff seals land on the primary
+  // only (the shadow models disjoint clusters, which a localized flip does
+  // not reach). run_wave calls them between layers with no pool work in
+  // flight, so a throw leaves nothing running.
+  const auto before_layer = [&](int t, std::size_t l) {
+    // Membrane SDC: flip live neuron state right before the layer
+    // integrates it. Unsealed path — only the redundancy compare can catch
+    // this one. No undo needed: run_wave clears state every attempt.
+    for (const FaultEvent& e : wave_data_faults_) {
+      if (t == 0 && live(e, FaultKind::kMembraneFlip) && target_layer(e) == l) {
+        flip_membrane_bit(primary_.states[target_lane(e)].membrane(l), e.bit);
+        ++injected;
       }
     }
   };
-
-  // The offline lockstep path, verbatim: all lanes advance through the same
-  // layer together, segmented FC layers stream each weight band once per
-  // wave (InferenceEngine::run_layer_batch), non-FC layers fan the lanes out
-  // on the pool. Every attempt starts from a clean lane state and an empty
-  // accumulator (reset without surrendering capacity, so a recycled slot
-  // stays allocation-free), so a retried wave re-runs from timestep 0 and —
-  // the engine being deterministic — lands bit-identical to a clean run.
-  //
-  // `primary` distinguishes the served pass from the redundant shadow pass:
-  // injections and seal verification run on the primary only (the shadow
-  // models disjoint clusters, which the localized flip does not reach), and
-  // only the primary accumulates into the requests' results. Both passes
-  // chain their per-timestep completion seals for the redundancy compare.
-  WorkerPool* pool = pool_.get();
-  const auto run_pass = [&](int attempt, bool primary) {
-    auto& states = primary ? states_ : shadow_states_;
-    auto& steps = primary ? steps_ : shadow_steps_;
-    auto& lanes = primary ? lanes_ : shadow_lanes_;
-    auto& ocrc = primary ? out_crc_ : shadow_crc_;
-    auto& obytes = primary ? out_bytes_ : shadow_bytes_;
-    for (std::size_t i = 0; i < wn; ++i) {
-      states[i].clear();
-      ocrc[i] = 0;
-      obytes[i] = 0;
-      if (primary) {
-        ServeRequest* req = wave_[i];
-        req->result.timesteps = timesteps;
-        req->result.spike_counts.clear();
-        req->result.cycles_per_step.clear();
-        req->result.total_cycles = 0;
-        req->result.total_energy_mj = 0;
-      }
+  const auto after_layer = [&](int t, std::size_t l) {
+    // Injected transients fire mid-wave (after the first layer already
+    // dirtied lane state) so a retry genuinely exercises the reset path.
+    if (t == 0 && l == 0 && attempt < transient_failures) {
+      throw TransientFault("injected transient wave fault");
     }
-    // Admission boundary: re-seal each input and compare against the seal
-    // submit() computed (corruption while queued). The modeled checker ran
-    // twice per image — once at admission, once here.
-    if (primary && integ.checksum_spikes) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        if (wave_[i]->image == nullptr) continue;
-        const Seal s = seal_tensor(*wave_[i]->image);
-        sealed_bytes += 2 * s.bytes;
-        ++checks;
-        if (s != wave_[i]->input_seal) {
-          ++mismatches;
-          throw IntegrityFault("admission seal mismatch");
+    // Handoff boundary: seal the spike carry layer l produced, model the
+    // transit (where a payload flip may land), verify on the consuming side
+    // before layer l+1 integrates it.
+    if (l + 1 == layers ||
+        (!integ.checksum_spikes && wave_data_faults_.empty())) {
+      return;
+    }
+    for (std::size_t i = 0; i < wn; ++i) {
+      const snn::SpikeMap* carry = primary_.lanes[i].carry;
+      if (carry == nullptr) continue;
+      const Seal s = integ.checksum_spikes ? seal_spikes(*carry) : Seal{};
+      sealed_bytes += s.bytes;
+      for (const FaultEvent& e : wave_data_faults_) {
+        if (t == 0 && live(e, FaultKind::kSpikePayloadFlip) &&
+            target_layer(e) == l && target_lane(e) == i) {
+          // The carry aliases lane-owned scratch; corrupting it in place is
+          // exactly what NoC transit corruption does.
+          flip_spike_byte(const_cast<snn::SpikeMap&>(*carry), e.bit);
+          ++injected;
         }
       }
-    }
-    // Weight boundary: every slice the attempt will stream must still match
-    // its construction-time seal — this is what turns an injected weight
-    // flip from a silently wrong answer into a detected, retryable fault.
-    // A weight_check_period > 1 amortizes the re-hash scrub-style over the
-    // wave sequence (weights are static; see IntegrityConfig).
-    const bool weights_due =
-        integ.weight_check_period <= 1 ||
-        wave_index_ % integ.weight_check_period == 0;
-    if (primary && integ.checksum_weights && weights_due) {
-      for (std::size_t l = 0; l < layers; ++l) {
-        const Seal s = seal_weights(engine_.network().weights(l));
-        sealed_bytes += s.bytes;
+      if (integ.checksum_spikes) {
+        const Seal v = seal_spikes(*carry);
+        sealed_bytes += v.bytes;
         ++checks;
-        if (s != weight_seals_[l]) {
+        if (v != s) {
           ++mismatches;
-          throw IntegrityFault("weight seal mismatch at layer " +
+          throw IntegrityFault("handoff seal mismatch after layer " +
                                std::to_string(l));
         }
       }
     }
-    for (int t = 0; t < timesteps; ++t) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        engine_.begin_sample(steps[i]);
-        lanes[i] = {wave_[i]->image, nullptr, &states[i], &steps[i]};
-      }
-      for (std::size_t l = 0; l < layers; ++l) {
-        // Membrane SDC: flip live neuron state right before the layer
-        // integrates it. Unsealed path — only the redundancy compare below
-        // can catch this one. No undo needed: every attempt clears state.
-        if (primary && t == 0) {
-          for (const FaultEvent& e : wave_data_faults_) {
-            if (e.kind == FaultKind::kMembraneFlip && attempt < e.failures &&
-                target_layer(e) == l) {
-              flip_membrane_bit(states[target_lane(e)].membrane(l), e.bit);
-              ++injected;
-            }
-          }
-        }
-        engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
-        // Injected transients fire mid-wave (after the first layer already
-        // dirtied lane state) so a retry genuinely exercises the reset path.
-        if (primary && t == 0 && l == 0 && attempt < transient_failures) {
-          throw TransientFault("injected transient wave fault");
-        }
-        // Handoff boundary: seal the spike carry layer l produced, model the
-        // transit (where a payload flip may land), verify on the consuming
-        // side before layer l+1 integrates it.
-        if (primary && l + 1 < layers &&
-            (integ.checksum_spikes || !wave_data_faults_.empty())) {
-          for (std::size_t i = 0; i < wn; ++i) {
-            const snn::SpikeMap* carry = lanes[i].carry;
-            if (carry == nullptr) continue;
-            Seal s{};
-            if (integ.checksum_spikes) {
-              s = seal_spikes(*carry);
-              sealed_bytes += s.bytes;
-            }
-            if (t == 0) {
-              for (const FaultEvent& e : wave_data_faults_) {
-                if (e.kind == FaultKind::kSpikePayloadFlip &&
-                    attempt < e.failures && target_layer(e) == l &&
-                    target_lane(e) == i) {
-                  // The carry aliases lane-owned scratch; corrupting it in
-                  // place is exactly what NoC transit corruption does.
-                  flip_spike_byte(const_cast<snn::SpikeMap&>(*carry), e.bit);
-                  ++injected;
-                }
-              }
-            }
-            if (integ.checksum_spikes) {
-              const Seal v = seal_spikes(*carry);
-              sealed_bytes += v.bytes;
-              ++checks;
-              if (v != s) {
-                ++mismatches;
-                throw IntegrityFault("handoff seal mismatch after layer " +
-                                     std::to_string(l));
-              }
-            }
-          }
+  };
+  const InferenceEngine::WaveHooks hooks{before_layer, after_layer};
+  const auto primary_step = [&](int t) {
+    for (std::size_t i = 0; i < wn; ++i) {
+      // Payload flips targeting the last layer land on the final output map
+      // itself — past the last sealed handoff, before the completion seal
+      // covers it, so checksum mode cannot see them (the redundancy compare
+      // can; bench/integrity_profile demonstrates the escape).
+      InferenceResult& step = primary_.steps[i];
+      for (const FaultEvent& e : wave_data_faults_) {
+        if (t == 0 && live(e, FaultKind::kSpikePayloadFlip) &&
+            target_layer(e) == layers - 1 && target_lane(e) == i &&
+            !step.final_output.v.empty()) {
+          flip_spike_byte(step.final_output, e.bit);
+          ++injected;
         }
       }
-      for (std::size_t i = 0; i < wn; ++i) {
-        // Payload flips targeting the last layer land on the final output
-        // map itself — past the last sealed handoff, before the completion
-        // seal covers it, so checksum mode cannot see them (the redundancy
-        // compare can; bench/integrity_profile demonstrates the escape).
-        if (primary && t == 0) {
-          for (const FaultEvent& e : wave_data_faults_) {
-            if (e.kind == FaultKind::kSpikePayloadFlip &&
-                attempt < e.failures && target_layer(e) == layers - 1 &&
-                target_lane(e) == i && !steps[i].final_output.v.empty()) {
-              flip_spike_byte(steps[i].final_output, e.bit);
-              ++injected;
-            }
-          }
-        }
-        if (seal_outputs) {
-          const auto& fo = steps[i].final_output.v;
-          ocrc[i] = common::simd::crc32c(fo.data(), fo.size(), ocrc[i]);
-          obytes[i] += fo.size();
-          sealed_bytes += fo.size();
-        }
-        if (primary) wave_[i]->result.accumulate_step(steps[i]);
-      }
+      if (seal_outputs) seal_output(primary_, i);
+      wave_[i]->result.accumulate_step(step);
     }
   };
 
-  bool ran_shadow = false;
-  const auto run_attempt = [&](int attempt) {
-    toggle_weight_flips(attempt);  // apply
-    for (const FaultEvent& e : wave_data_faults_) {
-      if (e.kind == FaultKind::kWeightBitFlip && attempt < e.failures) {
-        ++injected;
+  // Admission boundary: re-seal each input and compare against the seal
+  // submit() computed (corruption while queued). The modeled checker ran
+  // twice per image — once at admission, once here.
+  const auto verify_admission = [&] {
+    for (std::size_t i = 0; i < wn; ++i) {
+      if (wave_[i]->image == nullptr) continue;
+      const Seal s = seal_tensor(*wave_[i]->image);
+      sealed_bytes += 2 * s.bytes;
+      ++checks;
+      if (s != wave_[i]->input_seal) {
+        ++mismatches;
+        throw IntegrityFault("admission seal mismatch");
       }
     }
+  };
+  // Weight boundary: every slice the attempt will stream must still match
+  // its construction-time seal — this is what turns an injected weight flip
+  // from a silently wrong answer into a detected, retryable fault. A
+  // weight_check_period > 1 amortizes the re-hash scrub-style over the wave
+  // sequence (weights are static; see IntegrityConfig).
+  const auto verify_weights = [&] {
+    for (std::size_t l = 0; l < weight_seals_.size(); ++l) {
+      const Seal s = seal_weights(engine_.network().weights(l));
+      sealed_bytes += s.bytes;
+      ++checks;
+      if (s != weight_seals_[l]) {
+        ++mismatches;
+        throw IntegrityFault("weight seal mismatch at layer " +
+                             std::to_string(l));
+      }
+    }
+  };
+  const bool weights_due = integ.weight_check_period <= 1 ||
+                           wave_index_ % integ.weight_check_period == 0;
+
+  bool ran_shadow = false;
+  const auto run_attempt = [&] {
+    injected += toggle_weight_flips();  // apply
     try {
-      run_pass(attempt, /*primary=*/true);
+      for (std::size_t i = 0; i < wn; ++i) {
+        MultiStepResult& r = wave_[i]->result;
+        r.timesteps = timesteps;
+        r.spike_counts.clear();
+        r.cycles_per_step.clear();
+        r.total_cycles = 0;
+        r.total_energy_mj = 0;
+      }
+      if (integ.checksum_spikes) verify_admission();
+      if (integ.checksum_weights && weights_due) verify_weights();
+      engine_.run_wave(bind_lanes(primary_), timesteps, pool, primary_step,
+                       &hooks);
     } catch (...) {
-      toggle_weight_flips(attempt);  // undo before the retry machinery runs
+      toggle_weight_flips();  // undo before the retry machinery runs
       throw;
     }
-    toggle_weight_flips(attempt);  // undo (shadow reads clean weights)
-    if (redundant) {
-      ran_shadow = true;
-      run_pass(attempt, /*primary=*/false);
-      for (std::size_t i = 0; i < wn; ++i) {
-        ++checks;
-        if (out_crc_[i] != shadow_crc_[i] || out_bytes_[i] != shadow_bytes_[i]) {
-          ++mismatches;
-          throw IntegrityFault("redundant-lane output divergence on lane " +
-                               std::to_string(i));
-        }
+    toggle_weight_flips();  // undo (the shadow pass reads clean weights)
+    if (!redundant) return;
+    ran_shadow = true;
+    engine_.run_wave(bind_lanes(shadow_), timesteps, pool, [&](int) {
+      for (std::size_t i = 0; i < wn; ++i) seal_output(shadow_, i);
+    });
+    for (std::size_t i = 0; i < wn; ++i) {
+      ++checks;
+      if (primary_.seals[i] != shadow_.seals[i]) {
+        ++mismatches;
+        throw IntegrityFault("redundant-lane output divergence on lane " +
+                             std::to_string(i));
       }
     }
   };
@@ -552,29 +539,17 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   // publish kCorrupted instead of kError.
   bool wave_ok = false;
   bool last_integrity = false;
-  int attempt = 0;
   std::uint64_t retries = 0;
   std::uint64_t transients = 0;
   for (;;) {
     try {
-      run_attempt(attempt);
+      run_attempt();
       wave_ok = true;
       break;
-    } catch (const IntegrityFault&) {
+    } catch (const TransientFault& f) {
       ++transients;
-      ++ifaults;
-      last_integrity = true;
-      if (attempt >= cfg_.max_wave_retries) break;
-      ++attempt;
-      ++retries;
-      if (cfg_.retry_backoff_us > 0 &&
-          !stop_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(cfg_.retry_backoff_us * attempt));
-      }
-    } catch (const TransientFault&) {
-      ++transients;
-      last_integrity = false;
+      last_integrity = dynamic_cast<const IntegrityFault*>(&f) != nullptr;
+      if (last_integrity) ++ifaults;
       if (attempt >= cfg_.max_wave_retries) break;
       ++attempt;
       ++retries;
@@ -604,7 +579,7 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
     ServeRequest* req = wave_[i];
     enqueue_snap_[i] = req->enqueue_ns;
     if (wave_ok && seal_outputs) {
-      req->result_seal = Seal{out_crc_[i], out_bytes_[i]};
+      req->result_seal = primary_.seals[i];
     }
     req->complete_ns = t_done;
     req->state.store(final_state, std::memory_order_release);

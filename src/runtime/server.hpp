@@ -7,9 +7,10 @@
 //                                                (deadline- or size-triggered)
 //                                                            │
 //                                          segment-major lockstep wave
-//                                      (InferenceEngine::run_layer_batch on
-//                                       the persistent WorkerPool — the same
-//                                       path BatchRunner drives offline)
+//                                    (InferenceEngine::run_wave on the
+//                                     persistent WorkerPool — the loop
+//                                     BatchRunner drives offline; seals and
+//                                     injections ride its layer hooks)
 //
 // Admission is a bounded lock-free MPSC ring (Vyukov sequence-numbered
 // cells): any number of client threads try_push a ServeRequest* with a CAS
@@ -24,17 +25,17 @@
 // nudge it awake only when they observed it sleeping), so an idle server
 // burns no CPU — same contract the WorkerPool's idle workers honor.
 //
-// Waves execute exactly like an offline BatchRunner lockstep wave: one
-// NetworkState lane per in-flight request, all lanes stepping through the
-// network layer by layer via InferenceEngine::run_layer_batch, segmented FC
-// layers streaming each fan-in weight band once per wave. Served outputs
+// Waves execute through the same InferenceEngine::run_wave loop as an
+// offline BatchRunner lockstep wave: one NetworkState lane per in-flight
+// request, all lanes stepping through the network layer by layer, segmented
+// FC layers streaming each fan-in weight band once per wave. Served outputs
 // (spikes AND modeled cycles) are therefore bit-identical to BatchRunner on
 // the same inputs whatever wave boundaries the arrival timing produced — the
 // segment-major charges are per-sample batch means, independent of lane
 // assignment (tests/test_server.cpp pins this). The lanes, wave buffers and
 // per-request result vectors are all pre-sized at construction or on first
 // use, so the admission -> dispatch -> complete hot path is allocation-free
-// at steady state (tests/test_scratch_reuse.cpp counts it).
+// at steady state (tests/test_scratch_reuse.cpp counts it, armed or not).
 //
 // SLO-aware wave sizing: a hysteresis-gated controller trades wave size for
 // latency. Full waves leaving a backlog grow the target (×2 toward
@@ -66,22 +67,25 @@
 // CI guards the degradation curve in BENCH_fault.json).
 //
 // Data-integrity path (runtime/integrity.hpp, off by default): with
-// ServerConfig::integrity armed, CRC32C seals guard the dataflow — input
-// images sealed at submit() and verified at wave formation, spike carries
-// sealed at every layer handoff and verified before the consumer integrates
-// them, per-layer weight slices sealed at construction and verified per wave
-// attempt, the final output's chained seal published on the request. A seal
-// mismatch throws IntegrityFault (a TransientFault), so the bounded-retry
-// containment above re-runs the wave; FaultPlan data events (weight / spike /
-// membrane flips) are undone or regenerated between attempts, so the retried
-// wave completes bit-identical to an unfaulted one. Requests whose mismatch
-// persists through every retry end in kCorrupted. Redundant-lane mode
-// (IntegrityConfig::redundant_lanes or ServeRequest::redundant) executes the
-// wave twice — injections land only in the primary pass, modeling disjoint
-// clusters — and compares the two passes' output seals, the only defense
-// covering live membrane state (bench/integrity_profile.cpp sweeps flip rate
-// x protection mode into BENCH_integrity.json; CI guards detection coverage
-// and overhead with --integrity).
+// ServerConfig::integrity armed, CRC32C seals guard the dataflow. Input
+// images (sealed at submit()) and weight slices (sealed at construction)
+// are verified before the primary run_wave; the after_layer hook seals and
+// verifies each spike carry at the handoff to layer l+1; the per-timestep
+// callback chains each lane's final output into the completion seal
+// published on the request. A mismatch throws IntegrityFault (a
+// TransientFault), so the bounded-retry containment above re-runs the wave.
+// FaultPlan data events ride the same seams — membrane flips in
+// before_layer, transients and payload flips in after_layer, final-output
+// flips in the per-timestep callback, weight flips around the primary pass
+// — and expire after `failures` attempts, so a retried wave completes
+// bit-identical to an unfaulted one; a mismatch persisting through every
+// retry ends in kCorrupted. Redundant-lane mode
+// (IntegrityConfig::redundant_lanes or ServeRequest::redundant) adds a
+// hook-free shadow run_wave — disjoint clusters the injections do not
+// reach — and compares the two passes' output seals, the only defense
+// covering live membrane state (bench/integrity_profile.cpp sweeps it into
+// BENCH_integrity.json; CI guards detection coverage and overhead with
+// --integrity).
 #pragma once
 
 #include <atomic>
@@ -391,8 +395,6 @@ class InferenceServer {
   /// collect this wave's data-corruption events into wave_data_faults_;
   /// returns how many transient failures the coming wave must survive.
   int apply_fault_events();
-  /// Lazily size the shadow-pass buffers for redundant-lane execution.
-  void ensure_shadow();
   /// Hysteresis-gated wave-size update; see the header comment. Returns
   /// +1 / -1 / 0 for grow / shrink / hold (stats are recorded by the caller).
   int update_controller(std::size_t wn, int target, int fire_reason,
@@ -420,27 +422,30 @@ class InferenceServer {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<int> target_lanes_{1};
 
+  /// One pass's wave lanes (index = lane): the state, per-timestep result
+  /// and BatchLane run_wave steps, plus the completion seal chaining every
+  /// timestep's final output map.
+  struct LaneSet {
+    std::vector<snn::NetworkState> states;
+    std::vector<InferenceResult> steps;
+    std::vector<InferenceEngine::BatchLane> lanes;
+    std::vector<Seal> seals;
+
+    void resize(const InferenceEngine& engine, std::size_t lanes);
+  };
+
   // Dispatcher-owned wave state (pre-sized at construction; reused forever).
   std::vector<ServeRequest*> wave_;
   std::vector<std::uint64_t> enqueue_snap_;  ///< see execute_wave()
-  std::vector<snn::NetworkState> states_;
-  std::vector<InferenceResult> steps_;
-  std::vector<InferenceEngine::BatchLane> lanes_;
+  LaneSet primary_;  ///< the served pass
+  /// Redundant-lane shadow pass, sized on the first redundant wave (only
+  /// servers that use the mode pay its state memory).
+  LaneSet shadow_;
 
   // Data-integrity state (dispatcher-owned). weight_seals_ is computed once
-  // at construction when checksum_weights is armed; out_crc_/out_bytes_
-  // chain each lane's per-timestep completion seal; the shadow buffers back
-  // redundant-lane execution and are allocated lazily on the first
-  // redundant wave (only servers that use the mode pay its state memory).
+  // at construction when checksum_weights is armed.
   std::vector<Seal> weight_seals_;
   std::vector<FaultEvent> wave_data_faults_;  ///< this wave's data events
-  std::vector<std::uint32_t> out_crc_;
-  std::vector<std::uint64_t> out_bytes_;
-  std::vector<snn::NetworkState> shadow_states_;
-  std::vector<InferenceResult> shadow_steps_;
-  std::vector<InferenceEngine::BatchLane> shadow_lanes_;
-  std::vector<std::uint32_t> shadow_crc_;
-  std::vector<std::uint64_t> shadow_bytes_;
 
   // Controller streaks (dispatcher-owned).
   int grow_streak_ = 0;

@@ -208,7 +208,6 @@ TEST(IntegrityPrimitives, FlipsAreInvolutiveAndSealsCatchThem) {
   rt::flip_membrane_bit(t, 64 + 30);
   EXPECT_EQ(rt::seal_tensor(t), st);
 
-  EXPECT_STREQ(rt::seal_point_name(rt::SealPoint::kHandoff), "handoff");
   EXPECT_STREQ(rt::fault_kind_name(rt::FaultKind::kWeightBitFlip),
                "weight-bit-flip");
 }

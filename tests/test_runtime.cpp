@@ -1,15 +1,20 @@
 // Multi-timestep runner, the batch runner's two schedules and its
-// weight-reuse lane semantics, the sharded backend's host row bands,
-// event-driven input, strided-indirect option, and the ISS instruction
-// trace.
+// weight-reuse lane semantics, the run_wave hook and retry contract, the
+// sharded backend's host row bands, event-driven input, strided-indirect
+// option, and the ISS instruction trace.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "arch/cluster.hpp"
 #include "arch/program.hpp"
 #include "common/rng.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
+#include "runtime/faults.hpp"
 #include "runtime/multistep.hpp"
+#include "runtime/worker_pool.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
 
@@ -64,6 +69,22 @@ double dma_saved(const std::vector<rt::InferenceResult>& res,
   }
   return saved;
 }
+
+/// Image-fed lanes of a lockstep wave over caller-owned buffers.
+struct WaveLanes {
+  std::vector<snn::NetworkState> states;
+  std::vector<rt::InferenceResult> outs;
+  std::vector<rt::InferenceEngine::BatchLane> lanes;
+
+  WaveLanes(const rt::InferenceEngine& eng,
+            const std::vector<snn::Tensor>& images)
+      : states(images.size()), outs(images.size()), lanes(images.size()) {
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      states[i] = eng.make_state();
+      lanes[i] = {&images[i], nullptr, &states[i], &outs[i]};
+    }
+  }
+};
 
 }  // namespace
 
@@ -197,6 +218,91 @@ TEST(BatchRunner, BatchWeightReuseColdStartVsSteadyState) {
   const auto again = runner.run_single_step(doubled);
   for (std::size_t i = 0; i < doubled.size(); ++i) {
     EXPECT_DOUBLE_EQ(res[i].total_cycles, again[i].total_cycles) << i;
+  }
+}
+
+TEST(RunWave, HooksBracketEachLayerThenStepDone) {
+  // The seam the server's seals and injections sit on: before_layer(t, l)
+  // and after_layer(t, l) bracket every layer, after_layer sees the carry
+  // layer l produced, and the per-timestep callback follows the last layer.
+  const snn::Network net = batch_net();
+  ASSERT_EQ(net.num_layers(), 3u);
+  k::RunOptions opt;
+  opt.segment_major_lanes = 2;
+  const rt::InferenceEngine eng(net, opt);
+  const auto images = snn::make_batch(2, 5, 16, 16, 3);
+  WaveLanes w(eng, images);
+  rt::WorkerPool pool(1);
+
+  std::vector<std::string> calls;
+  const auto at = [](const char* what, int t, std::size_t l) {
+    return std::string(what) + " " + std::to_string(t) + "," +
+           std::to_string(l);
+  };
+  const auto before = [&](int t, std::size_t l) {
+    calls.push_back(at("before", t, l));
+  };
+  const auto after = [&](int t, std::size_t l) {
+    calls.push_back(at("after", t, l));
+    for (const auto& lane : w.lanes) {
+      EXPECT_EQ(lane.carry == nullptr, l + 1 == net.num_layers()) << l;
+    }
+  };
+  const rt::InferenceEngine::WaveHooks hooks{before, after};
+  eng.run_wave(w.lanes, /*timesteps=*/2, &pool,
+               [&](int t) { calls.push_back("step " + std::to_string(t)); },
+               &hooks);
+
+  std::vector<std::string> want;
+  for (int t = 0; t < 2; ++t) {
+    for (std::size_t l = 0; l < 3; ++l) {
+      want.push_back(at("before", t, l));
+      want.push_back(at("after", t, l));
+    }
+    want.push_back("step " + std::to_string(t));
+  }
+  EXPECT_EQ(calls, want);
+}
+
+TEST(RunWave, RerunAfterThrowingHookIsBitIdentical) {
+  // A hook that throws mid-wave leaves layer-0 membranes dirty; run_wave's
+  // entry reset is what makes the server's retry of the same lanes land
+  // bit-identical to a wave that never failed.
+  const snn::Network net = batch_net();
+  k::RunOptions opt;
+  opt.segment_major_lanes = 2;
+  const rt::InferenceEngine eng(net, opt);
+  const auto images = snn::make_batch(2, 9, 16, 16, 3);
+  rt::WorkerPool pool(1);
+  const int T = 3;
+  const auto run = [&](WaveLanes& w,
+                       const rt::InferenceEngine::WaveHooks* hooks) {
+    std::vector<rt::MultiStepResult> res(w.lanes.size());
+    eng.run_wave(w.lanes, T, &pool, [&](int) {
+      for (std::size_t i = 0; i < res.size(); ++i) {
+        res[i].accumulate_step(w.outs[i]);
+      }
+    }, hooks);
+    return res;
+  };
+
+  WaveLanes clean_lanes(eng, images);
+  const auto clean = run(clean_lanes, nullptr);
+
+  WaveLanes w(eng, images);
+  const auto none = [](int, std::size_t) {};
+  const auto fail = [](int t, std::size_t l) {
+    if (t == 0 && l == 0) throw rt::TransientFault("hook fault");
+  };
+  const rt::InferenceEngine::WaveHooks throwing{none, fail};
+  EXPECT_THROW(run(w, &throwing), rt::TransientFault);
+  const auto retried = run(w, nullptr);
+
+  ASSERT_EQ(retried.size(), clean.size());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    ASSERT_EQ(clean[i].cycles_per_step.size(), static_cast<std::size_t>(T));
+    EXPECT_EQ(retried[i].spike_counts, clean[i].spike_counts) << i;
+    EXPECT_EQ(retried[i].cycles_per_step, clean[i].cycles_per_step) << i;
   }
 }
 

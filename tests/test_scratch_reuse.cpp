@@ -379,11 +379,17 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsHybridSharded) {
       << "hybrid sharded steady state must not touch the heap";
 }
 
-TEST(ScratchReuse, ZeroSteadyStateAllocationsServerLoop) {
+/// Server-loop allocation guard, parameterized on the integrity switches:
+/// unarmed, and armed with every hook-driven protection (spike + weight
+/// seals and the redundant shadow run_wave).
+class ScratchReuseServerLoop : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ScratchReuseServerLoop, ZeroSteadyStateAllocations) {
   // The serving hot path extends the contract end to end: submit (lock-free
   // ring push), wave formation, lockstep execution into the pre-sized lane
   // buffers, completion publish (futex wake) and the recycled request slot's
-  // result reset must all stay off the heap once warmed. Fixed wave width
+  // result reset must all stay off the heap once warmed — and so must the
+  // layer hooks, seals and shadow pass when armed. Fixed wave width
   // (adaptive off) keeps the wave shape identical across rounds.
   const snn::Network net = test_net();
   const auto img = snn::make_batch(1, 7, 16, 16, 3)[0];
@@ -392,6 +398,11 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsServerLoop) {
   rt::ServerConfig scfg;
   scfg.max_queue_delay_us = 200;
   scfg.adaptive_wave = false;
+  if (GetParam()) {
+    scfg.integrity.checksum_spikes = true;
+    scfg.integrity.checksum_weights = true;
+    scfg.integrity.redundant_lanes = true;
+  }
   rt::InferenceServer server(net, opt, {}, scfg);
   rt::ServeRequest slot;  // recycled: result capacity persists across rounds
   slot.image = &img;
@@ -417,3 +428,8 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsServerLoop) {
       << "admission -> dispatch -> complete must not touch the heap";
   server.stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(Integrity, ScratchReuseServerLoop, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Armed" : "Unarmed";
+                         });
