@@ -1,10 +1,11 @@
 // Backend comparison micro-benchmark: simulated cycles and host wall-clock
 // for the Analytical vs Sharded backends at 1/2/4/8 clusters — under the
 // output-channel-only partition, the cost-model-driven hybrid partition, and
-// the hybrid partition with the inter-cluster NoC bandwidth ceiling enabled
-// (the honest multi-cluster number) — plus a per-layer cluster-utilization
-// table at 8 clusters and the batch-inference speedup of BatchRunner over
-// the serial one-engine-per-sample path.
+// the hybrid partition with NoC contention on (the busiest inter-cluster
+// link gates each layer's wall-clock: the honest multi-cluster number) —
+// plus a per-layer cluster-utilization table at 8 clusters and the
+// batch-inference speedup of BatchRunner over the serial
+// one-engine-per-sample path.
 //
 //   $ ./backend_compare            # batch from SPIKESTREAM_BATCH (default 8)
 #include <chrono>
@@ -36,12 +37,12 @@ double wall_ms(const std::function<void()>& fn) {
 }
 
 rt::BackendConfig sharded_cfg(int clusters, k::PartitionStrategy strategy,
-                              bool noc_ceiling = false) {
+                              bool contention = false) {
   rt::BackendConfig cfg;
   cfg.kind = rt::BackendKind::kSharded;
   cfg.clusters = clusters;
   cfg.partition = strategy;
-  cfg.noc.model_contention = noc_ceiling;
+  cfg.noc.model_contention = contention;
   return cfg;
 }
 
@@ -327,7 +328,6 @@ int main() {
     const auto tower_imgs = snn::make_batch(8, 99, 6, 6, 3);
     rt::BackendConfig cfg = sharded_cfg(8, k::PartitionStrategy::kHybrid);
     cfg.shard_threads = false;
-    cfg.noc.topology = spikestream::arch::NocTopology::kRingQuadrant;
     cfg.noc.model_contention = true;
     cfg.pipeline.enabled = true;
 

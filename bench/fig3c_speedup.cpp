@@ -24,7 +24,6 @@ namespace sc = spikestream::common;
 namespace k = spikestream::kernels;
 namespace rt = spikestream::runtime;
 namespace snn = spikestream::snn;
-namespace arch = spikestream::arch;
 
 namespace {
 
@@ -50,7 +49,6 @@ PipelineRow run_pipeline_row(const std::string& network,
   cfg.clusters = clusters;
   cfg.shard_threads = false;
   cfg.partition = k::PartitionStrategy::kHybrid;
-  cfg.noc.topology = arch::NocTopology::kRingQuadrant;
   cfg.noc.model_contention = true;
   cfg.pipeline.enabled = enabled;
   cfg.pipeline.mode = mode;

@@ -1,29 +1,27 @@
-// Inter-cluster interconnect (NoC) model. Two levels of fidelity:
+// Inter-cluster interconnect (NoC) model: a link-level topology. Every
+// cluster owns an injection and an ejection link into its local switch.
 //
-//  * kLegacyCeiling — the historical model: a single shared bisection-
-//    bandwidth ceiling with one injection latency per layer. Replicated
-//    broadcast payloads are charged once per receiver on that one ceiling
-//    (`noc_transfer_cycles`), which overprices multicast and cannot say
-//    *which* wire saturates. Kept bit-exact as the default: every pre-link-
-//    model cycle count reproduces unchanged.
-//  * kCrossbar / kRingQuadrant — a link-level topology. Every cluster owns an
-//    injection and an ejection link into its local switch; under
-//    kRingQuadrant the clusters are grouped into quadrants (up to
-//    `quadrant_size` clusters each) whose switches sit on a bidirectional
-//    ring. A transfer charges its payload to every link it traverses exactly
-//    once — in particular a multicast charges each link once per *link*, not
-//    once per receiver, so an 8-way ifmap broadcast costs one injection, at
-//    most one traversal of each ring link, and one ejection per receiver.
-//    Contention cycles are the busiest link's serialization plus the longest
-//    route's hop latency.
+//  * kRingQuadrant (default) — the clusters are grouped into quadrants (up
+//    to `quadrant_size` clusters each) whose switches sit on a bidirectional
+//    ring. With one quadrant (<= quadrant_size clusters) there are no ring
+//    links and it prices exactly like kCrossbar.
+//  * kCrossbar — the local switches are joined by an ideal core: a transfer
+//    crosses only its injection and ejection links.
+//
+// A transfer charges its payload to every link it traverses exactly once —
+// in particular a multicast charges each link once per *link*, not once per
+// receiver, so an 8-way ifmap broadcast costs one injection, at most one
+// traversal of each ring link, and one ejection per receiver. Contention
+// cycles are the busiest link's serialization plus the longest route's hop
+// latency.
 //
 // Traffic accounting (who pays what) lives in the sharded backend: a layer's
-// `noc_bytes` is every byte that crosses the fabric — broadcast ifmap
-// replicas, halo rows of spatial stripes, gathered ofmap slices, FC
+// `noc_bytes` is every link traversal of the bytes that cross the fabric —
+// broadcast ifmaps, halo rows of spatial stripes, gathered ofmap slices, FC
 // partial-sum reductions, and pipeline stage handoffs. The bytes are always
 // recorded in KernelStats (and priced by the energy model); the *timing*
-// gate is opt-in via `model_contention` so exact-mode backends keep their
-// historical cycle counts.
+// gate is opt-in via `model_contention` (off = a perfect fabric that never
+// stretches a layer's wall-clock).
 #pragma once
 
 #include <algorithm>
@@ -32,14 +30,12 @@
 namespace spikestream::arch {
 
 enum class NocTopology {
-  kLegacyCeiling,  ///< single shared ceiling (historical timing, default)
-  kCrossbar,       ///< per-cluster injection/ejection links, ideal core
-  kRingQuadrant,   ///< cluster quadrants on a bidirectional switch ring
+  kCrossbar,      ///< per-cluster injection/ejection links, ideal core
+  kRingQuadrant,  ///< cluster quadrants on a bidirectional switch ring
 };
 
 inline const char* noc_topology_name(NocTopology t) {
   switch (t) {
-    case NocTopology::kLegacyCeiling: return "legacy-ceiling";
     case NocTopology::kCrossbar: return "crossbar";
     case NocTopology::kRingQuadrant: return "ring-quadrant";
   }
@@ -47,42 +43,26 @@ inline const char* noc_topology_name(NocTopology t) {
 }
 
 struct NocParams {
-  /// false = perfect fabric (legacy timing): traffic is still counted and
-  /// priced, but never gates a layer's wall-clock.
+  /// false = perfect fabric: traffic is still counted and priced, but never
+  /// gates a layer's wall-clock.
   bool model_contention = false;
-  /// Interconnect shape. The default reproduces the historical shared-
-  /// ceiling expression bit-exactly; the link topologies price traffic
-  /// per-link (see header comment).
-  NocTopology topology = NocTopology::kLegacyCeiling;
-  /// Shared bisection bandwidth across all clusters, bytes per cycle
-  /// (kLegacyCeiling only). The per-cluster DMA port is 64 B/cy; a shared
-  /// fabric that matches a single port is the contended case.
-  double shared_bytes_per_cycle = 64.0;
-  /// Cycles to the first beat of an inter-cluster transfer. Legacy charges
-  /// it once per layer; the link topologies charge it once per traversed
-  /// switch hop on the layer's longest route (transfers of one layer are
-  /// pipelined back to back, so only the head pays it).
+  /// Interconnect shape (see header comment).
+  NocTopology topology = NocTopology::kRingQuadrant;
+  /// Cycles per traversed switch hop on a layer's longest route (transfers
+  /// of one layer are pipelined back to back, so only the head pays it).
   double hop_latency = 12.0;
-  /// Bandwidth of one injection/ejection/ring link, bytes per cycle (link
-  /// topologies only). Matches one cluster's DMA port width.
+  /// Bandwidth of one injection/ejection/ring link, bytes per cycle. Matches
+  /// one cluster's DMA port width.
   double link_bytes_per_cycle = 64.0;
   /// Clusters per quadrant switch under kRingQuadrant.
   int quadrant_size = 4;
 };
 
-/// Cycles the legacy shared fabric needs to move `bytes` of inter-cluster
-/// traffic. Unchanged since the NoC was introduced — the kLegacyCeiling
-/// bit-exactness contract is this exact expression.
-inline double noc_transfer_cycles(const NocParams& p, double bytes) {
-  if (bytes <= 0.0) return 0.0;
-  return p.hop_latency + bytes / p.shared_bytes_per_cycle;
-}
-
 /// Allocation-free per-link byte accumulator for one layer's inter-cluster
-/// traffic under the link topologies. Build one, describe the layer's
-/// transfers (unicast / multicast), then read total bytes (for
-/// KernelStats::noc_bytes / energy) and contention cycles (busiest link +
-/// longest route). Multicast charges each traversed link exactly once.
+/// traffic. Build one, describe the layer's transfers (unicast /
+/// multicast), then read total bytes (for KernelStats::noc_bytes / energy)
+/// and contention cycles (busiest link + longest route). Multicast charges
+/// each traversed link exactly once.
 class NocModel {
  public:
   static constexpr int kMaxClusters = 64;

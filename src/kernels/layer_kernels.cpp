@@ -797,8 +797,6 @@ FcFanInMergeCost fc_fanin_merge_cost(const snn::LayerSpec& spec,
   m.fpu_ops += partials * groups;
   m.int_instrs += partials * 10.0;
   m.tcdm_words += 2.0 * partials * groups;  // partial read + accumulator rmw
-  m.noc_bytes +=
-      partials * spec.out_c * static_cast<double>(common::fp_bytes(fmt));
   // Activation runs exactly once, with the same accounting as fc_timing.
   const std::uint8_t* row = &out_spikes.at(0, 0, 0);
   for (int g = 0; g < groups; ++g) {

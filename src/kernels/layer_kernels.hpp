@@ -177,15 +177,15 @@ void fc_fanin_shard_timing(const snn::LayerSpec& spec,
                            const RunOptions& opt, KernelScratch& scratch);
 
 /// Sequential merge tail of a fan-in-sharded FC layer: the merging cluster
-/// streams in n_shards - 1 partial ofmap vectors over the NoC, reduces them
-/// group-wise, and runs the activation exactly once (same accounting as
-/// fc_timing's activation, so activity conservation holds by construction).
+/// streams in n_shards - 1 partial ofmap vectors over the NoC (the sharded
+/// backend charges that traffic), reduces them group-wise, and runs the
+/// activation exactly once (same accounting as fc_timing's activation, so
+/// activity conservation holds by construction).
 struct FcFanInMergeCost {
   double cycles = 0;      ///< serial tail after the slowest shard finishes
   double fpu_ops = 0;     ///< reduction adds (itemized, not hidden)
   double int_instrs = 0;
   double tcdm_words = 0;
-  double noc_bytes = 0;   ///< partial vectors crossing the inter-cluster NoC
 };
 FcFanInMergeCost fc_fanin_merge_cost(const snn::LayerSpec& spec,
                                      const snn::SpikeMap& out_spikes,

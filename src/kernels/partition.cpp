@@ -368,12 +368,10 @@ HandoffEstimate estimate_handoff(const snn::LayerSpec& spec,
   HandoffEstimate h;
   h.bytes = static_cast<double>(compress::CsrIfmap::footprint_from_count(
       static_cast<std::size_t>(nnz), spec.out_h(), spec.out_w()));
+  // Point-to-point route: injection + (worst case) one ring traversal +
+  // ejection, serialized at one link's width.
   const double transfer =
-      noc.topology == arch::NocTopology::kLegacyCeiling
-          ? arch::noc_transfer_cycles(noc, h.bytes)
-          // Point-to-point route: injection + (worst case) one ring traversal
-          // + ejection, serialized at one link's width.
-          : noc.hop_latency * 3.0 + h.bytes / noc.link_bytes_per_cycle;
+      noc.hop_latency * 3.0 + h.bytes / noc.link_bytes_per_cycle;
   h.cycles = transfer + nnz * opt.cost.fifo_push_per_spike;
   return h;
 }

@@ -53,6 +53,10 @@ ShardedBackend::ShardedBackend(const kernels::RunOptions& opt,
       noc_(cfg.noc),
       pipeline_(cfg.pipeline),
       pool_(std::move(pool)) {
+  SPK_CHECK(cfg.clusters <= arch::NocModel::kMaxClusters,
+            "sharded backend: " << cfg.clusters << " clusters exceeds the "
+                                << arch::NocModel::kMaxClusters
+                                << "-cluster NoC model");
   if (threads_ && pool_ == nullptr) {
     pool_ = std::make_shared<WorkerPool>(clusters_ - 1);
   }
@@ -170,7 +174,7 @@ void ShardedBackend::set_cluster_slowdown(int cluster, double factor) const {
   slowdown_[static_cast<std::size_t>(cluster)].store(
       std::max(1.0, factor), std::memory_order_relaxed);
   bool any = false;
-  for (int c = 0; c < clusters_ && c < arch::NocModel::kMaxClusters; ++c) {
+  for (int c = 0; c < clusters_; ++c) {
     any |= slowdown_[static_cast<std::size_t>(c)].load(
                std::memory_order_relaxed) > 1.0;
   }
@@ -182,16 +186,11 @@ void ShardedBackend::set_link_degrade(int cluster, double factor) const {
   std::lock_guard<std::mutex> lock(fault_mu_);
   link_derate_[static_cast<std::size_t>(cluster)].store(
       std::max(1.0, factor), std::memory_order_relaxed);
-  double worst = 1.0;
   bool any = false;
-  for (int c = 0; c < clusters_ && c < arch::NocModel::kMaxClusters; ++c) {
-    const double d =
-        link_derate_[static_cast<std::size_t>(c)].load(
-            std::memory_order_relaxed);
-    worst = std::max(worst, d);
-    any |= d > 1.0;
+  for (int c = 0; c < clusters_; ++c) {
+    any |= link_derate_[static_cast<std::size_t>(c)].load(
+               std::memory_order_relaxed) > 1.0;
   }
-  max_link_derate_.store(worst, std::memory_order_relaxed);
   any_link_derate_.store(any, std::memory_order_relaxed);
 }
 
@@ -360,43 +359,23 @@ void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
   merged.plan = scratch.lanes[slowest].ks.run.plan;
 }
 
-void ShardedBackend::apply_noc(
-    kernels::KernelStats& st, double legacy_bytes,
-    common::FunctionRef<void(arch::NocModel&)> charge) const {
-  if (noc_.topology == arch::NocTopology::kLegacyCeiling) {
-    // Historical accounting, bit-exact when healthy: payload totals (a
-    // broadcast counts one replica per receiver) against one shared-
-    // bandwidth ceiling. The gate raise is itemized but numerically
-    // unchanged. An injected link derate divides the shared ceiling by the
-    // worst factor — a shared bus has no per-link wires to degrade.
-    st.noc_bytes += legacy_bytes;
-    if (noc_.model_contention) {
-      arch::NocParams p = noc_;
-      if (any_link_derate_.load(std::memory_order_relaxed)) {
-        p.shared_bytes_per_cycle /=
-            max_link_derate_.load(std::memory_order_relaxed);
-      }
-      const double gate = arch::noc_transfer_cycles(p, st.noc_bytes);
-      if (gate > st.cycles) {
-        st.noc_contention_cycles += gate - st.cycles;
-        st.cycles = gate;
-      }
-    }
-    return;
-  }
-  // Link-level topology: replay the transfer pattern onto per-link byte
-  // accumulators. noc_bytes then counts each link traversal once (multicast
-  // payloads are NOT multiplied by the receiver count) and the fabric gate
-  // is hop latency plus the bottleneck link's serialization.
+arch::NocModel ShardedBackend::noc_model() const {
   arch::NocModel model(noc_, clusters_);
   if (any_link_derate_.load(std::memory_order_relaxed)) {
-    for (int c = 0; c < clusters_ && c < arch::NocModel::kMaxClusters; ++c) {
+    for (int c = 0; c < clusters_; ++c) {
       model.set_link_derate(
           c, link_derate_[static_cast<std::size_t>(c)].load(
                  std::memory_order_relaxed));
     }
   }
-  charge(model);
+  return model;
+}
+
+void ShardedBackend::apply_noc(kernels::KernelStats& st,
+                               const arch::NocModel& model) const {
+  // noc_bytes counts each link traversal once (a multicast payload is NOT
+  // multiplied by the receiver count); the fabric gate is hop latency plus
+  // the bottleneck link's serialization.
   st.noc_bytes += model.total_link_bytes();
   if (noc_.model_contention) {
     const double gate = model.cycles();
@@ -431,11 +410,10 @@ void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
   const double bytes =
       static_cast<double>(compress::CsrIfmap::footprint_from_count(
           run.out_nnz, spec.out_h(), spec.out_w()));
-  const int src = info->cluster_lo + info->group - 1;
-  const int dst = info->next_cluster_lo;
-  apply_noc(run.stats, bytes, [&](arch::NocModel& m) {
-    m.unicast(src, dst, bytes);
-  });
+  arch::NocModel noc = noc_model();
+  noc.unicast(info->cluster_lo + info->group - 1, info->next_cluster_lo,
+              bytes);
+  apply_noc(run.stats, noc);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,29 +438,23 @@ void ShardedBackend::price_channel_shards(const kernels::LayerPlan& plan,
   });
   merge_shard_stats(scratch, n, merged, base);
 
-  // The input is broadcast: every cluster beyond the owner receives a full
-  // replica; the owner gathers the other clusters' ofmap slices. The legacy
-  // total bills one replica per receiver; the link model replays the same
-  // pattern as one multicast (each link charged once) plus gather unicasts.
+  // The input is multicast from the owner to every cluster of the group
+  // (each link charged once); the owner gathers the other clusters' ofmap
+  // slices.
   const double input_bytes =
       ifmap != nullptr
           ? static_cast<double>(ifmap->footprint_bytes())
           : static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
                 spec.in_w * spec.in_c;
-  double noc = static_cast<double>(n - 1) * input_bytes;
+  arch::NocModel noc = noc_model();
+  noc.multicast(base, base, base + static_cast<int>(n), input_bytes);
   for (std::size_t s = 1; s < n; ++s) {
-    noc += static_cast<double>(compress::CsrIfmap::footprint_from_count(
-        scratch.lanes[s].ks.run.out_nnz, spec.out_h(), spec.out_w()));
-  }
-  apply_noc(merged.stats, noc, [&](arch::NocModel& m) {
-    m.multicast(base, base, base + static_cast<int>(n), input_bytes);
-    for (std::size_t s = 1; s < n; ++s) {
-      m.unicast(base + static_cast<int>(s), base,
+    noc.unicast(base + static_cast<int>(s), base,
                 static_cast<double>(compress::CsrIfmap::footprint_from_count(
                     scratch.lanes[s].ks.run.out_nnz, spec.out_h(),
                     spec.out_w())));
-    }
-  });
+  }
+  apply_noc(merged.stats, noc);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +485,8 @@ void ShardedBackend::price_stripes(const kernels::LayerPlan& plan,
   // Stripes need no broadcast: clusters exchange only the halo overlap plus
   // the ofmap gather to the owner. Sparse stripes overlap by their summed
   // footprints minus one resident copy; dense image stripes duplicate
-  // (k - 1) rows per neighbor pair.
+  // (k - 1) rows per neighbor pair. Halos flow between adjacent stripes,
+  // split evenly over the n - 1 neighbor pairs.
   double halo = 0;
   if (ifmap != nullptr) {
     halo = -static_cast<double>(ifmap->footprint_bytes());
@@ -526,26 +499,17 @@ void ShardedBackend::price_stripes(const kernels::LayerPlan& plan,
            static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_w *
            spec.in_c;
   }
-  double gather_bytes = 0;
+  const double per_pair = halo / static_cast<double>(n - 1);
+  arch::NocModel noc = noc_model();
   for (std::size_t s = 1; s < n; ++s) {
-    gather_bytes += static_cast<double>(
-        compress::CsrIfmap::footprint_from_count(
-            scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
-            spec.out_w()));
-  }
-  apply_noc(merged.stats, halo + gather_bytes, [&](arch::NocModel& m) {
-    // Halos flow between adjacent stripes, split evenly over the n - 1
-    // neighbor pairs; ofmap slices gather to the owner.
-    const double per_pair = halo / static_cast<double>(n - 1);
-    for (std::size_t s = 1; s < n; ++s) {
-      const int c = base + static_cast<int>(s);
-      m.unicast(c - 1, c, per_pair);
-      m.unicast(c, base,
+    const int c = base + static_cast<int>(s);
+    noc.unicast(c - 1, c, per_pair);
+    noc.unicast(c, base,
                 static_cast<double>(compress::CsrIfmap::footprint_from_count(
                     scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
                     spec.out_w())));
-    }
-  });
+  }
+  apply_noc(merged.stats, noc);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,13 +541,14 @@ void ShardedBackend::price_fc_fanin(const kernels::LayerPlan& plan,
   merged.stats.fpu_ops += tail.fpu_ops;
   merged.stats.int_instrs += tail.int_instrs;
   merged.stats.tcdm_words += tail.tcdm_words;
-  apply_noc(merged.stats, tail.noc_bytes, [&](arch::NocModel& m) {
-    // Partial-sum vectors converge on the merging cluster, one per peer.
-    const double per_peer = tail.noc_bytes / static_cast<double>(n - 1);
-    for (std::size_t s = 1; s < n; ++s) {
-      m.unicast(base + static_cast<int>(s), base, per_peer);
-    }
-  });
+  // Partial-sum vectors converge on the merging cluster, one per peer.
+  const double partial_bytes = static_cast<double>(spec.out_c) *
+                               static_cast<double>(common::fp_bytes(opt_.fmt));
+  arch::NocModel noc = noc_model();
+  for (std::size_t s = 1; s < n; ++s) {
+    noc.unicast(base + static_cast<int>(s), base, partial_bytes);
+  }
+  apply_noc(merged.stats, noc);
 }
 
 // ---------------------------------------------------------------------------

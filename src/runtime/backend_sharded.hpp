@@ -25,11 +25,10 @@
 //
 // Per-cluster KernelStats merge with wall-clock = max and activity = sum;
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
-// partial reductions) is recorded in KernelStats::noc_bytes and — when
-// NocParams::model_contention is set — gates the layer's wall-clock instead
-// of assuming a perfect crossbar: against the shared-bandwidth ceiling under
-// the legacy topology, or per link through arch::NocModel under a
-// link-level topology (crossbar, quadrant ring).
+// partial reductions) is charged per link to an arch::NocModel, recorded in
+// KernelStats::noc_bytes and — when NocParams::model_contention is set —
+// gates the layer's wall-clock at the bottleneck link instead of assuming a
+// perfect fabric.
 #pragma once
 
 #include <array>
@@ -55,7 +54,8 @@ class ShardedBackend : public ExecutionBackend {
   /// shard_min_work, partition, noc, pipeline). `pool` = null creates a
   /// private pool sized for the cluster count (when cfg.shard_threads);
   /// passing the engine's pool shares one set of threads between shard
-  /// fan-out and batch-sample fan-out.
+  /// fan-out and batch-sample fan-out. Throws when cfg.clusters exceeds
+  /// arch::NocModel::kMaxClusters (the per-cluster fault and link state).
   ShardedBackend(const kernels::RunOptions& opt, const BackendConfig& cfg,
                  std::shared_ptr<WorkerPool> pool = nullptr);
 
@@ -132,8 +132,7 @@ class ShardedBackend : public ExecutionBackend {
   /// by `factor` >= 1 (1 restores full speed).
   void set_cluster_slowdown(int cluster, double factor) const;
   /// Derate one active cluster slot's NoC injection/ejection bandwidth by
-  /// `factor` >= 1. Under the legacy shared-ceiling topology the whole
-  /// fabric runs at the worst derate (a shared bus has no per-link wires).
+  /// `factor` >= 1 (1 restores full width); ring links are unaffected.
   void set_link_degrade(int cluster, double factor) const;
 
   /// Clusters still in the active set (== num_clusters() when healthy).
@@ -200,17 +199,15 @@ class ShardedBackend : public ExecutionBackend {
   void merge_shard_stats(const kernels::LayerScratch& scratch, std::size_t n,
                          kernels::LayerRun& merged, int base) const;
 
-  /// Record inter-cluster traffic and, with contention modeling on, let the
-  /// fabric gate the layer's wall-clock (the raise is itemized in
-  /// KernelStats::noc_contention_cycles). Under the legacy-ceiling topology
-  /// `legacy_bytes` is accumulated and priced exactly like the historical
-  /// expression (bit-exact back-compat); under a link-level topology
-  /// `charge` replays the transfer pattern onto a per-link NocModel —
-  /// noc_bytes then counts each link traversal once (a multicast is no
-  /// longer billed one full replica per receiver) and the gate is the
-  /// bottleneck link's serialization, not a shared ceiling.
-  void apply_noc(kernels::KernelStats& st, double legacy_bytes,
-                 common::FunctionRef<void(arch::NocModel&)> charge) const;
+  /// An empty per-link model of the fabric, with the injected link derates
+  /// applied: a pricing site charges one layer's transfers to it, then hands
+  /// it to apply_noc.
+  arch::NocModel noc_model() const;
+  /// Add `model`'s link bytes to st.noc_bytes (each link traversal once: a
+  /// multicast is not billed one replica per receiver) and, with contention
+  /// modeling on, let the bottleneck link gate the layer's wall-clock (the
+  /// raise is itemized in KernelStats::noc_contention_cycles).
+  void apply_noc(kernels::KernelStats& st, const arch::NocModel& model) const;
 
   /// Boundary-layer tail of a pipeline stage: charge the producing group for
   /// packing its output spikes into the inter-stage FIFO and for the handoff
@@ -313,8 +310,6 @@ class ShardedBackend : public ExecutionBackend {
       slowdown_;
   mutable std::array<std::atomic<double>, arch::NocModel::kMaxClusters>
       link_derate_;
-  /// Worst link derate across clusters (legacy shared-ceiling divisor).
-  mutable std::atomic<double> max_link_derate_{1.0};
 };
 
 }  // namespace spikestream::runtime

@@ -280,6 +280,15 @@ TEST(DegradedMode, FailStopKeepsSpikesBitIdenticalAndReplansOnce) {
       rt::run_timesteps(healthy, hs2, images[0], 3);
   EXPECT_EQ(solo.spike_counts, ref.spike_counts);
   EXPECT_GE(solo.total_cycles, ref.total_cycles);
+
+  // Per-cluster fault and link state is sized for the NoC model's widest
+  // fabric: 64 clusters build and the last one can fail; 65 are refused.
+  static_assert(arch::NocModel::kMaxClusters == 64);
+  const rt::ShardedBackend widest(opt, sharded(64));
+  EXPECT_TRUE(widest.fail_cluster(63));
+  EXPECT_EQ(widest.active_clusters(), 63);
+  EXPECT_THROW((void)rt::ShardedBackend(opt, sharded(65)),
+               spikestream::Error);
 }
 
 TEST(DegradedMode, FailStopReplanMatchesFreshPlanAtSurvivorWidth) {

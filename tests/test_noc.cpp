@@ -1,7 +1,7 @@
 // Hierarchical NoC model contract:
-//  (1) the kLegacyCeiling expression is frozen — noc_transfer_cycles is the
-//      exact historical `hop_latency + bytes / shared_bw` and the engine's
-//      contention gate only ever itemizes (gated == ungated + itemized);
+//  (1) the engine's contention gate only ever itemizes (gated == ungated +
+//      itemized), the default topology is the quadrant ring, and a ring of
+//      one quadrant prices exactly like the crossbar;
 //  (2) link-level multicast charges each link exactly once: the crossbar
 //      byte sum is the (1 + receivers) * payload lower bound, and a ring
 //      multicast never moves more bytes than the equivalent unicast fan-out;
@@ -60,57 +60,6 @@ arch::NocParams link_params(arch::NocTopology topo, int quadrant_size = 4) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Legacy ceiling: frozen expression
-// ---------------------------------------------------------------------------
-
-TEST(NocLegacy, TransferCyclesMatchHistoricalExpressionBitExact) {
-  arch::NocParams p;
-  for (double hop : {0.0, 12.0, 40.0}) {
-    for (double bw : {1.0, 64.0, 256.0}) {
-      p.hop_latency = hop;
-      p.shared_bytes_per_cycle = bw;
-      for (double bytes : {1.0, 37.0, 4096.0, 1e7}) {
-        // The pre-link-model expression, reproduced literally.
-        EXPECT_EQ(arch::noc_transfer_cycles(p, bytes), hop + bytes / bw);
-      }
-      EXPECT_EQ(arch::noc_transfer_cycles(p, 0.0), 0.0);
-      EXPECT_EQ(arch::noc_transfer_cycles(p, -5.0), 0.0);
-    }
-  }
-}
-
-TEST(NocLegacy, ContentionGateOnlyItemizesNeverReprices) {
-  const snn::Network net = noc_test_net();
-  k::RunOptions opt;
-  const rt::InferenceEngine off(
-      net, opt, noc_cfg(arch::NocTopology::kLegacyCeiling, false));
-  const rt::InferenceEngine on(
-      net, opt, noc_cfg(arch::NocTopology::kLegacyCeiling, true));
-
-  const auto img = snn::make_batch(1, 9, 16, 16, 3)[0];
-  snn::NetworkState s0 = off.make_state();
-  snn::NetworkState s1 = on.make_state();
-  const auto r0 = off.run(img, s0);
-  const auto r1 = on.run(img, s1);
-
-  ASSERT_EQ(r0.layers.size(), r1.layers.size());
-  for (std::size_t l = 0; l < r0.layers.size(); ++l) {
-    const auto& a = r0.layers[l].stats;
-    const auto& b = r1.layers[l].stats;
-    // Bytes are counted identically whether or not they gate timing.
-    EXPECT_DOUBLE_EQ(a.noc_bytes, b.noc_bytes) << "layer " << l;
-    // The gate is pure max(): whatever it added is itemized exactly, so the
-    // ungated count is always recoverable.
-    EXPECT_NEAR(b.cycles - b.noc_contention_cycles, a.cycles,
-                1e-9 * a.cycles + 1e-9)
-        << "layer " << l;
-    EXPECT_GE(b.noc_contention_cycles, 0.0);
-    EXPECT_EQ(a.noc_contention_cycles, 0.0);
-  }
-  EXPECT_EQ(r0.final_output.v, r1.final_output.v);
-}
 
 // ---------------------------------------------------------------------------
 // Link model: multicast byte conservation
@@ -221,14 +170,16 @@ TEST(NocEngine, TopologyChangesTimingAttributionNotSpikes) {
   k::RunOptions opt;
   const auto img = snn::make_batch(1, 9, 16, 16, 3)[0];
 
+  const auto run = [&](const rt::BackendConfig& cfg) {
+    const rt::InferenceEngine eng(net, opt, cfg);
+    snn::NetworkState st = eng.make_state();
+    return eng.run(img, st);
+  };
   std::vector<rt::InferenceResult> results;
-  for (auto topo : {arch::NocTopology::kLegacyCeiling,
-                    arch::NocTopology::kCrossbar,
+  for (auto topo : {arch::NocTopology::kCrossbar,
                     arch::NocTopology::kRingQuadrant}) {
     for (bool contention : {false, true}) {
-      const rt::InferenceEngine eng(net, opt, noc_cfg(topo, contention));
-      snn::NetworkState st = eng.make_state();
-      results.push_back(eng.run(img, st));
+      results.push_back(run(noc_cfg(topo, contention)));
     }
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -236,9 +187,9 @@ TEST(NocEngine, TopologyChangesTimingAttributionNotSpikes) {
         << "variant " << i;
   }
 
-  // Link-topology contention itemizes exactly like the legacy gate:
-  // gated == ungated + noc_contention_cycles, per layer.
-  for (std::size_t base : {2u, 4u}) {  // crossbar, ring (off at base, on next)
+  // Contention only itemizes: gated == ungated + noc_contention_cycles, per
+  // layer, and the byte count does not depend on the gate.
+  for (std::size_t base : {0u, 2u}) {  // crossbar, ring (off at base, on next)
     const auto& off = results[base];
     const auto& on = results[base + 1];
     for (std::size_t l = 0; l < off.layers.size(); ++l) {
@@ -249,19 +200,51 @@ TEST(NocEngine, TopologyChangesTimingAttributionNotSpikes) {
           << "variant " << base << " layer " << l;
       EXPECT_DOUBLE_EQ(off.layers[l].stats.noc_bytes,
                        on.layers[l].stats.noc_bytes);
+      EXPECT_GE(on.layers[l].stats.noc_contention_cycles, 0.0);
+      EXPECT_EQ(off.layers[l].stats.noc_contention_cycles, 0.0);
     }
   }
 
-  // Link topologies dedup the broadcast (bytes per link, not per receiver x
-  // route): the ring records at least the crossbar's bytes, and both record
-  // nonzero traffic.
-  double legacy_bytes = 0, xbar_bytes = 0, ring_bytes = 0;
-  for (std::size_t l = 0; l < results[0].layers.size(); ++l) {
-    legacy_bytes += results[0].layers[l].stats.noc_bytes;
-    xbar_bytes += results[2].layers[l].stats.noc_bytes;
-    ring_bytes += results[4].layers[l].stats.noc_bytes;
+  // Four clusters fill one quadrant (quadrant_size = 4): the ring has no
+  // ring links and prices bit-identically to the crossbar.
+  for (std::size_t v : {0u, 1u}) {
+    const auto& xbar = results[v];
+    const auto& ring = results[v + 2];
+    EXPECT_EQ(ring.total_cycles, xbar.total_cycles) << "variant " << v;
+    for (std::size_t l = 0; l < xbar.layers.size(); ++l) {
+      EXPECT_EQ(ring.layers[l].stats.cycles, xbar.layers[l].stats.cycles);
+      EXPECT_EQ(ring.layers[l].stats.noc_bytes,
+                xbar.layers[l].stats.noc_bytes);
+      EXPECT_EQ(ring.layers[l].stats.noc_contention_cycles,
+                xbar.layers[l].stats.noc_contention_cycles);
+    }
   }
-  EXPECT_GT(legacy_bytes, 0.0);
+
+  // A default-constructed NocParams is the quadrant ring, bit for bit. At 8
+  // clusters (two quadrants) the ring and the crossbar differ, so this pins
+  // the default topology rather than either link model.
+  rt::BackendConfig dflt = noc_cfg(arch::NocTopology::kRingQuadrant, true, 8);
+  dflt.noc = arch::NocParams{};
+  dflt.noc.model_contention = true;
+  const rt::InferenceResult d = run(dflt);
+  const rt::InferenceResult ring8 =
+      run(noc_cfg(arch::NocTopology::kRingQuadrant, true, 8));
+  const rt::InferenceResult xbar8 =
+      run(noc_cfg(arch::NocTopology::kCrossbar, true, 8));
+  EXPECT_EQ(d.final_output.v, ring8.final_output.v);
+  EXPECT_EQ(d.total_cycles, ring8.total_cycles);
+  double d_bytes = 0, xbar8_bytes = 0;
+  for (std::size_t l = 0; l < ring8.layers.size(); ++l) {
+    EXPECT_EQ(d.layers[l].stats.cycles, ring8.layers[l].stats.cycles);
+    EXPECT_EQ(d.layers[l].stats.noc_bytes, ring8.layers[l].stats.noc_bytes);
+    EXPECT_EQ(d.layers[l].stats.noc_contention_cycles,
+              ring8.layers[l].stats.noc_contention_cycles);
+    d_bytes += d.layers[l].stats.noc_bytes;
+    xbar8_bytes += xbar8.layers[l].stats.noc_bytes;
+  }
+  EXPECT_GT(d_bytes, xbar8_bytes) << "two quadrants add ring traversals";
+
+  double xbar_bytes = 0;
+  for (const auto& lm : results[0].layers) xbar_bytes += lm.stats.noc_bytes;
   EXPECT_GT(xbar_bytes, 0.0);
-  EXPECT_GE(ring_bytes, xbar_bytes);
 }

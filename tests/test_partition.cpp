@@ -8,7 +8,7 @@
 //  (3) the hybrid strategy queries the cost model sensibly (narrow layers
 //      stop idling clusters, wide layers keep the historical tiling);
 //  (4) the NoC model records inter-cluster traffic and, when contention is
-//      enabled, a tighter bandwidth ceiling never speeds a layer up;
+//      enabled, narrower links never speed a layer up;
 //  (5) the worker pool runs every task exactly once, supports nesting, and
 //      propagates exceptions.
 #include <gtest/gtest.h>
@@ -220,8 +220,8 @@ TEST(PartitionConservation, OutputChannelAndStripePlansConserveActivity) {
           << k::partition_strategy_name(strategy) << " layer " << l;
       EXPECT_NEAR(s.ssr_elems, a.ssr_elems, 1e-6 * a.ssr_elems + 1e-6)
           << k::partition_strategy_name(strategy) << " layer " << l;
-      // Wall-clock per layer never exceeds the single-cluster run (the NoC
-      // ceiling is off by default).
+      // Wall-clock per layer never exceeds the single-cluster run (NoC
+      // contention is off by default).
       EXPECT_LE(s.cycles, a.cycles + 1e-9)
           << k::partition_strategy_name(strategy) << " layer " << l;
     }
@@ -262,9 +262,14 @@ TEST(PartitionConservation, FanInReductionIsItemizedExactly) {
   EXPECT_NEAR(s.tcdm_words - a.tcdm_words, 2.0 * (n - 1) * groups,
               1e-9 * a.tcdm_words + 1e-9);
   // The partial vectors are the only inter-cluster traffic (inputs are
-  // disjoint — no broadcast).
+  // disjoint — no broadcast). Each of the n - 1 peers sends one out_c-wide
+  // partial vector to the merging cluster. noc_bytes counts link
+  // traversals, and the n <= 4 shards share one quadrant of the default
+  // ring, so each unicast crosses exactly two links (the sender's injection,
+  // the merger's ejection): 2 * (n - 1) * out_c * fp_bytes in total.
   const double fp_bytes = sc::fp_bytes(opt.fmt);
-  EXPECT_NEAR(s.noc_bytes, (n - 1) * net.layer(l).out_c * fp_bytes, 1e-9);
+  EXPECT_NEAR(s.noc_bytes, 2.0 * (n - 1) * net.layer(l).out_c * fp_bytes,
+              1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,9 +282,12 @@ TEST(NocModel, BroadcastTrafficIsRecordedAndCeilingOnlySlowsDown) {
   auto cfg = sharded_cfg(k::PartitionStrategy::kOutputChannel, 4);
   const rt::InferenceEngine off(net, opt, cfg);
   cfg.noc.model_contention = true;
-  cfg.noc.shared_bytes_per_cycle = 64.0;
+  cfg.noc.link_bytes_per_cycle = 64.0;
   const rt::InferenceEngine wide(net, opt, cfg);
-  cfg.noc.shared_bytes_per_cycle = 1.0;
+  // A link serializes one multicast payload, not one replica per receiver,
+  // so the tiny net's busiest link needs a quarter byte per cycle before
+  // the fabric overtakes compute on every layer.
+  cfg.noc.link_bytes_per_cycle = 0.25;
   const rt::InferenceEngine tight(net, opt, cfg);
 
   const auto img = snn::make_batch(1, 9, 16, 16, 3)[0];
@@ -298,13 +306,14 @@ TEST(NocModel, BroadcastTrafficIsRecordedAndCeilingOnlySlowsDown) {
     EXPECT_DOUBLE_EQ(r0.layers[l].stats.noc_bytes,
                      r2.layers[l].stats.noc_bytes);
     total_noc += r0.layers[l].stats.noc_bytes;
-    // A ceiling can only slow a layer down, monotonically in bandwidth.
+    // Link contention can only slow a layer down, monotonically in link
+    // bandwidth.
     EXPECT_GE(r1.layers[l].stats.cycles, r0.layers[l].stats.cycles - 1e-9);
     EXPECT_GE(r2.layers[l].stats.cycles, r1.layers[l].stats.cycles - 1e-9);
   }
   EXPECT_GT(total_noc, 0.0);  // the broadcast is no longer free
   EXPECT_GT(r2.total_cycles, r0.total_cycles);
-  // Spikes are untouched by the timing ceiling.
+  // Spikes are untouched by the contention gate.
   EXPECT_EQ(r0.final_output.v, r2.final_output.v);
   // The energy model prices the traffic.
   double e_noc = 0;
