@@ -1,6 +1,7 @@
 // Host-performance profile of the simulator itself: how fast does the
 // functional + cost pipeline execute on the machine running it? Times
-// end-to-end batch inference on the calibrated S-VGG11 for every backend and
+// end-to-end batch inference on the calibrated S-VGG11 for every backend
+// (plus a wide-FC spill workload and the deep tower on 8 clusters) and
 // reports samples/sec, ns per layer execution, and steady-state heap
 // allocations per layer (counted by a global operator-new hook), then emits
 // everything as BENCH_host.json so CI can archive a perf trajectory per PR.
@@ -56,7 +57,7 @@ struct BackendProfile {
   /// (tests/test_runtime.cpp pins cold*B == steady*(B-1) for one worker).
   double dma_saved_mb_cold = 0;
   double dma_saved_mb_steady = 0;
-  /// Which workload this row ran (svgg11 or widefc).
+  /// Which workload this row ran (svgg11, widefc or tower).
   std::string network = "svgg11";
   /// Banked-DRAM row-buffer outcomes, whole network (0 in flat-legacy mode).
   double row_hit_rate = 0;
@@ -270,6 +271,32 @@ int main() {
     for (std::size_t i = profiles.size() - 3; i < profiles.size(); ++i) {
       profiles[i].network = "widefc";
     }
+  }
+
+  {
+    // The repository benchmark's tower8-hybrid configuration (perfbench's
+    // tower_backend() and tower_options()) at one worker: the calibrated
+    // deep tower on 8 modeled clusters, hybrid partition with
+    // planner-chosen pipeline stages, ring-quadrant NoC with contention,
+    // banked DRAM, shards priced serially on the host. Per-layer fixed
+    // costs dominate its host time, so this row guards them.
+    k::RunOptions topt = opt;
+    topt.cost.dram = spikestream::arch::DramConfig::banked();
+    rt::BackendConfig cfg;
+    cfg.kind = rt::BackendKind::kSharded;
+    cfg.clusters = 8;
+    cfg.shard_threads = false;
+    cfg.partition = k::PartitionStrategy::kHybrid;
+    cfg.noc.topology = spikestream::arch::NocTopology::kRingQuadrant;
+    cfg.noc.model_contention = true;
+    cfg.pipeline.enabled = true;
+    cfg.pipeline.mode = k::ExecMode::kAuto;
+    const snn::Network tower = bench::make_calibrated_deep_tower();
+    const auto tower_images =
+        snn::make_batch(static_cast<std::size_t>(batch), 79, 6, 6, 3);
+    profiles.push_back(profile_backend("tower8-hybrid", tower, topt, cfg,
+                                       tower_images, reps, /*workers=*/1));
+    profiles.back().network = "tower";
   }
 
   std::printf("host profile: S-VGG11 batch %d + wide-FC batch %d, %d reps, "

@@ -28,8 +28,8 @@ class CsrIfmap {
 
   /// Pre-reserve for maps of up to `positions` spatial positions and
   /// `nnz_cap` spikes. With the zero-sparsity worst case of a layer's input
-  /// shape, every later encode_into()/slice_rows_into() on this object is
-  /// heap-allocation-free whatever occupancy the workload reaches.
+  /// shape, every later encode_into() on this object is heap-allocation-free
+  /// whatever occupancy the workload reaches.
   void reserve(std::size_t positions, std::size_t nnz_cap) {
     s_ptr_.reserve(positions + 1);
     c_idcs_.reserve(nnz_cap);
@@ -46,30 +46,6 @@ class CsrIfmap {
 
   /// Reconstruct the dense binary map (for tests / golden comparisons).
   snn::SpikeMap decode() const;
-
-  /// Copy spatial rows [y_lo, y_hi) into a caller-owned CsrIfmap whose
-  /// buffers are reused (capacity retained, zero allocations once warm).
-  /// Prefix sums and channel indices are rebased so `out` is a standalone
-  /// (y_hi - y_lo, w, c) map — the ifmap stripe one sharded cluster owns.
-  void slice_rows_into(int y_lo, int y_hi, CsrIfmap& out) const {
-    SPK_CHECK(0 <= y_lo && y_lo <= y_hi && y_hi <= h_,
-              "CsrIfmap: bad row slice [" << y_lo << ", " << y_hi << ")");
-    out.h_ = y_hi - y_lo;
-    out.w_ = w_;
-    out.c_ = c_;
-    const std::size_t p_lo =
-        static_cast<std::size_t>(y_lo) * static_cast<std::size_t>(w_);
-    const std::size_t p_hi =
-        static_cast<std::size_t>(y_hi) * static_cast<std::size_t>(w_);
-    const std::uint32_t base = s_ptr_[p_lo];
-    out.s_ptr_.resize(p_hi - p_lo + 1);
-    for (std::size_t p = p_lo; p <= p_hi; ++p) {
-      out.s_ptr_[p - p_lo] = s_ptr_[p] - base;
-    }
-    out.c_idcs_.assign(
-        c_idcs_.begin() + static_cast<std::ptrdiff_t>(s_ptr_[p_lo]),
-        c_idcs_.begin() + static_cast<std::ptrdiff_t>(s_ptr_[p_hi]));
-  }
 
   int h() const { return h_; }
   int w() const { return w_; }
@@ -106,6 +82,19 @@ class CsrIfmap {
     const std::size_t positions = static_cast<std::size_t>(h_) * w_;
     return nnz() * static_cast<std::size_t>(idx_bytes) +
            positions * static_cast<std::size_t>(idx_bytes);
+  }
+
+  /// Footprint of spatial rows [y_lo, y_hi) as a standalone map (2-byte
+  /// indices and counts) — the ifmap stripe one sharded cluster streams —
+  /// read off the `s_ptr` prefix sums without copying the rows.
+  std::size_t rows_footprint_bytes(int y_lo, int y_hi) const {
+    SPK_CHECK(0 <= y_lo && y_lo <= y_hi && y_hi <= h_,
+              "CsrIfmap: bad row range [" << y_lo << ", " << y_hi << ")");
+    const std::size_t p_lo =
+        static_cast<std::size_t>(y_lo) * static_cast<std::size_t>(w_);
+    const std::size_t p_hi =
+        static_cast<std::size_t>(y_hi) * static_cast<std::size_t>(w_);
+    return footprint_from_count(s_ptr_[p_hi] - s_ptr_[p_lo], y_hi - y_lo, w_);
   }
 
  private:

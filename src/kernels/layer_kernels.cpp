@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #if defined(__AVX512F__) && defined(__F16C__)
@@ -32,16 +33,6 @@ namespace {
 int n_groups(int out_c, common::FpFormat fmt) {
   const int simd = common::simd_lanes(fmt);
   return (out_c + simd - 1) / simd;
-}
-
-/// One sweep over the spikes at output position (oy, ox): per-SIMD-group
-/// spike counts into counts[0..groups). The counts are exact small-integer
-/// sums in double, so the host-SIMD tiers of common/simd.hpp may reduce them
-/// in any shape — every tier produces bit-identical counts.
-void group_counts_at(const snn::SpikeMap& out, int oy, int ox, int simd,
-                     int groups, double* counts) {
-  common::simd::group_spike_counts(&out.at(oy, ox, 0), out.c, simd, groups,
-                                   counts);
 }
 
 /// Average memory-port pressure per core per cycle for the conflict model.
@@ -159,10 +150,10 @@ void count_activation(KernelStats& st, const CostParams& p, int simd,
   st.tcdm_words += 1.0 + spikes / 4.0;  // s_ptr update + packed c_idcs
 }
 
-/// Accumulate the gathered weight rows into `acc[0..out_c)`. Rows are added
-/// strictly in gather order — `acc = (((acc + w0) + w1) + w2) + w3` — so the
-/// result is bit-identical to the naive one-row-at-a-time loop (and to the
-/// golden reference); processing four rows per sweep just amortizes the
+/// Accumulate weight rows into `acc[0..out_c)`. Rows are added strictly in
+/// order — `acc = (((acc + w0) + w1) + w2) + w3` — so the result is
+/// bit-identical to the naive one-row-at-a-time loop (and to the golden
+/// reference); processing four rows per sweep just amortizes the
 /// accumulator loads/stores over four streamed row reads.
 void add_rows(float* __restrict__ acc, const void* const* rows,
               std::size_t n_rows, int out_c) {
@@ -176,8 +167,8 @@ void add_rows(float* __restrict__ acc, const void* const* rows,
       acc[co] = (((acc[co] + w0[co]) + w1[co]) + w2[co]) + w3[co];
     }
   }
-  for (; r < n_rows; ++r) {
-    const float* __restrict__ w0 = static_cast<const float*>(rows[r]);
+  for (const void* const* row = rows + r; row != rows + n_rows; ++row) {
+    const float* __restrict__ w0 = static_cast<const float*>(*row);
     for (int co = 0; co < out_c; ++co) acc[co] += w0[co];
   }
 }
@@ -198,7 +189,7 @@ inline __m512 load_half16(const std::uint16_t* p) {
 /// add. Lane-wise the accumulation order and the converted values are
 /// exactly those of add_rows() on the float32 rows, so spikes stay
 /// bit-identical — only the memory traffic is halved. Requires out_c to be a
-/// multiple of 16 (callers fall back to add_rows otherwise).
+/// multiple of 16 (WeightRows::half).
 void add_rows_half(float* acc, const void* const* rows, std::size_t n_rows,
                    int out_c) {
   std::size_t r = 0;
@@ -227,30 +218,96 @@ void add_rows_half(float* acc, const void* const* rows, std::size_t n_rows,
 }
 #endif  // __AVX512F__ && __F16C__
 
-/// True when this layer's rows should stream as binary16.
-bool use_half_rows(const snn::LayerWeights& w, int out_c) {
+/// One layer's weight rows as the functional passes stream them: float32,
+/// or binary16 on the half-precision fast path (half-exact weights, out_c a
+/// multiple of 16).
+struct WeightRows {
+  const char* base = nullptr;
+  std::size_t row_bytes = 0;
+  int out_c = 0;
+  bool half = false;
+};
+
+WeightRows weight_rows(const snn::LayerWeights& w, int out_c) {
+  WeightRows r;
 #ifdef SPIKESTREAM_HALF_ROWS
-  return w.half_exact && out_c % 16 == 0;
-#else
-  (void)w;
-  (void)out_c;
-  return false;
+  r.half = w.half_exact && out_c % 16 == 0;
 #endif
+  r.base = r.half ? reinterpret_cast<const char*>(w.half.data())
+                  : reinterpret_cast<const char*>(w.v.data());
+  r.row_bytes = static_cast<std::size_t>(out_c) *
+                (r.half ? sizeof(std::uint16_t) : sizeof(float));
+  r.out_c = out_c;
+  return r;
 }
 
-void dispatch_add_rows(bool half, float* __restrict__ acc,
-                       const void* const* rows, std::size_t n_rows,
-                       int out_c) {
-#ifdef SPIKESTREAM_HALF_ROWS
-  if (half) {
-    add_rows_half(acc, rows, n_rows, out_c);
+/// One contiguous run of CSR spikes [lo, hi) whose weight rows are
+/// base + idx[i] — the spikes under one kernel row of a receptive field, or
+/// a band of an FC input.
+struct IndexRun {
+  std::uint32_t lo = 0, hi = 0;
+  std::ptrdiff_t base = 0;
+};
+
+/// Eight float32 lanes (GCC/Clang vector extension): one AVX register, or
+/// two SSE registers on narrower hosts. Lane-wise adds are plain IEEE
+/// float32 adds.
+using Lanes8 = float __attribute__((vector_size(32)));
+
+/// Add the weight rows of `runs` (in order) into `acc[0..out_c)`.
+template <class Idx>
+void add_runs(const WeightRows& w, float* __restrict__ acc, const Idx* idx,
+              const IndexRun* runs, int n_runs) {
+  if (!w.half && w.out_c == 8) {
+    // One row per register: the accumulator stays in it across every run.
+    const auto* wf = reinterpret_cast<const float*>(w.base);
+    Lanes8 a;
+    std::memcpy(&a, acc, sizeof a);
+    for (int r = 0; r < n_runs; ++r) {
+      for (std::uint32_t i = runs[r].lo; i < runs[r].hi; ++i) {
+        Lanes8 row;
+        std::memcpy(&row, wf + (runs[r].base + idx[i]) * 8, sizeof row);
+        a += row;
+      }
+    }
+    std::memcpy(acc, &a, sizeof a);
     return;
   }
-#else
-  (void)half;
+  // Wider rows: row pointers gathered in stack blocks. Each block's rows are
+  // added in order after the previous block's, so any blocking sums the
+  // same float32 sequence.
+  constexpr std::size_t kBlock = 64;
+  const void* rows[kBlock];
+  std::size_t n = 0;
+  const auto flush = [&] {
+#ifdef SPIKESTREAM_HALF_ROWS
+    if (w.half) {
+      add_rows_half(acc, rows, n, w.out_c);
+      n = 0;
+      return;
+    }
 #endif
-  add_rows(acc, rows, n_rows, out_c);
+    add_rows(acc, rows, n, w.out_c);
+    n = 0;
+  };
+  for (int r = 0; r < n_runs; ++r) {
+    for (std::uint32_t i = runs[r].lo; i < runs[r].hi; ++i) {
+      rows[n++] = w.base + static_cast<std::size_t>(runs[r].base + idx[i]) *
+                               w.row_bytes;
+      if (n == kBlock) flush();
+    }
+  }
+  if (n > 0) flush();
 }
+
+/// Whether a conv layer's fields are walked as k runs over the row-offset
+/// index (KernelScratch::row_index) or as k*k per-position spans over the
+/// CSR indices. The index pays for rows of 8 lanes (one register), where a
+/// span's loop overhead rivals its row add (deep tower, out_c 8: +20 % host
+/// throughput over spans). Wider rows are dominated by the adds, and the
+/// index's worst-case reserve — 4 bytes per input neuron in every lane
+/// state — would cost S-VGG11 (out_c >= 128) 5 % of its peak RSS.
+bool uses_row_index(const snn::LayerSpec& spec) { return spec.out_c <= 8; }
 
 }  // namespace
 
@@ -258,20 +315,50 @@ void dispatch_add_rows(bool half, float* __restrict__ acc,
 // Functional passes
 // ---------------------------------------------------------------------------
 
-void shape_functional(const snn::LayerSpec& spec, KernelScratch& scratch) {
+void shape_functional(const snn::LayerSpec& spec,
+                      const compress::CsrIfmap* ifmap,
+                      KernelScratch& scratch) {
   scratch.currents.reshape(spec.out_h(), spec.out_w(), spec.out_c);
   scratch.run.out_spikes.reshape(spec.out_h(), spec.out_w(), spec.out_c);
+  if (ifmap == nullptr) return;
+  SPK_CHECK(ifmap->h() == spec.in_h && ifmap->w() == spec.in_w &&
+                ifmap->c() == spec.in_c,
+            "conv " << spec.name << ": ifmap shape mismatch");
+  if (!uses_row_index(spec)) return;
+  SPK_CHECK(static_cast<double>(spec.in_w) * spec.in_c < 4294967296.0,
+            "conv " << spec.name << ": row offsets exceed 32 bits");
+  // Row offset of every spike within its kernel row: x * in_c + c. The
+  // worst case (every input neuron spiking) is reserved on first use, so a
+  // later occupancy peak never grows the index.
+  const std::vector<std::uint32_t>& s_ptr = ifmap->s_ptr();
+  const std::vector<std::uint16_t>& c_idcs = ifmap->c_idcs();
+  std::vector<std::uint32_t>& g = scratch.row_index;
+  g.reserve(static_cast<std::size_t>(spec.in_h) *
+            static_cast<std::size_t>(spec.in_w) *
+            static_cast<std::size_t>(spec.in_c));
+  g.resize(c_idcs.size());
+  const std::uint32_t in_c = static_cast<std::uint32_t>(spec.in_c);
+  std::size_t p = 0;
+  for (int y = 0; y < spec.in_h; ++y) {
+    for (std::uint32_t x = 0; x < static_cast<std::uint32_t>(spec.in_w);
+         ++x, ++p) {
+      for (std::uint32_t i = s_ptr[p]; i < s_ptr[p + 1]; ++i) {
+        g[i] = x * in_c + c_idcs[i];
+      }
+    }
+  }
 }
 
 std::size_t conv_functional_rows(const snn::LayerSpec& spec,
                                  const snn::LayerWeights& weights,
                                  const compress::CsrIfmap& ifmap,
                                  snn::Tensor& membrane, KernelScratch& scratch,
-                                 std::vector<const void*>& rows, int oy_lo,
-                                 int oy_hi) {
-  SPK_CHECK(ifmap.h() == spec.in_h && ifmap.w() == spec.in_w &&
-                ifmap.c() == spec.in_c,
-            "conv " << spec.name << ": ifmap shape mismatch");
+                                 int oy_lo, int oy_hi) {
+  const bool by_run = uses_row_index(spec);
+  SPK_CHECK(!by_run || scratch.row_index.size() == ifmap.c_idcs().size(),
+            "conv " << spec.name
+                    << ": row index not built for this ifmap"
+                       " (call shape_functional first)");
   const int k = spec.k;
   const int ow = spec.out_w();
   const int out_c = spec.out_c;
@@ -282,30 +369,47 @@ std::size_t conv_functional_rows(const snn::LayerSpec& spec,
   std::fill_n(currents.v.data() + static_cast<std::size_t>(oy_lo) * row_elems,
               static_cast<std::size_t>(oy_hi - oy_lo) * row_elems, 0.0f);
 
-  const bool half = use_half_rows(weights, out_c);
-  const char* wbase = half
-                          ? reinterpret_cast<const char*>(weights.half.data())
-                          : reinterpret_cast<const char*>(weights.v.data());
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(out_c) *
-      (half ? sizeof(std::uint16_t) : sizeof(float));
-  const std::size_t in_c = static_cast<std::size_t>(weights.in_c);
+  // A receptive field's weight rows, in the reference's (kh, kw, ci) order.
+  // The k input positions under one kernel row are adjacent in the CSR's
+  // row-major order, so their spikes form one index run: with the
+  // row-offset index, spike i at column x streams row
+  // (kh*k + x - ox)*in_c + c = base + g[i]. Without it, each position is
+  // its own span over c_idcs, based at (kh*k + kw)*in_c.
+  const WeightRows w = weight_rows(weights, out_c);
+  const std::uint32_t* g = scratch.row_index.data();
+  const std::uint16_t* c_idcs = ifmap.c_idcs().data();
+  const std::vector<std::uint32_t>& s_ptr = ifmap.s_ptr();
+  const std::ptrdiff_t in_c = spec.in_c;
+  constexpr int kMaxRuns = 16;  // runs handed to one add_runs call
+  IndexRun runs[kMaxRuns];
   for (int oy = oy_lo; oy < oy_hi; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
-      // Hoist the weight-row pointers of this receptive field, in the same
-      // (kh, kw, ci) order the reference walks them.
-      rows.clear();
-      for (int kh = 0; kh < k; ++kh) {
+      float* acc = &currents.at(oy, ox, 0);
+      int n = 0;
+      const auto flush = [&] {
+        if (by_run) {
+          add_runs(w, acc, g, runs, n);
+        } else {
+          add_runs(w, acc, c_idcs, runs, n);
+        }
+        n = 0;
+      };
+      for (std::ptrdiff_t kh = 0; kh < k; ++kh) {
+        const std::size_t p = static_cast<std::size_t>(oy + kh) *
+                                  static_cast<std::size_t>(spec.in_w) +
+                              static_cast<std::size_t>(ox);
+        if (by_run) {
+          runs[n++] = {s_ptr[p], s_ptr[p + static_cast<std::size_t>(k)],
+                       (kh * k - ox) * in_c};
+          if (n == kMaxRuns) flush();
+          continue;
+        }
         for (int kw = 0; kw < k; ++kw) {
-          const std::size_t base =
-              (static_cast<std::size_t>(kh) * k + kw) * in_c;
-          for (std::uint16_t ci : ifmap.at(oy + kh, ox + kw)) {
-            rows.push_back(wbase + (base + ci) * row_bytes);
-          }
+          runs[n++] = {s_ptr[p + kw], s_ptr[p + kw + 1], (kh * k + kw) * in_c};
+          if (n == kMaxRuns) flush();
         }
       }
-      dispatch_add_rows(half, &currents.at(oy, ox, 0), rows.data(),
-                        rows.size(), out_c);
+      if (n > 0) flush();
     }
   }
   return snn::lif_step_rows(spec.lif, currents, membrane,
@@ -316,9 +420,9 @@ void conv_functional(const snn::LayerSpec& spec,
                      const snn::LayerWeights& weights,
                      const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
                      KernelScratch& scratch) {
-  shape_functional(spec, scratch);
-  scratch.run.out_nnz = conv_functional_rows(
-      spec, weights, ifmap, membrane, scratch, scratch.rows, 0, spec.out_h());
+  shape_functional(spec, &ifmap, scratch);
+  scratch.run.out_nnz = conv_functional_rows(spec, weights, ifmap, membrane,
+                                             scratch, 0, spec.out_h());
 }
 
 void fc_functional(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
@@ -331,19 +435,10 @@ void fc_functional(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
   currents.reshape(1, 1, out_c);
   std::fill(currents.v.begin(), currents.v.end(), 0.0f);
 
-  const bool half = use_half_rows(weights, out_c);
-  const char* wbase = half
-                          ? reinterpret_cast<const char*>(weights.half.data())
-                          : reinterpret_cast<const char*>(weights.v.data());
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(out_c) *
-      (half ? sizeof(std::uint16_t) : sizeof(float));
-  std::vector<const void*>& rows = scratch.rows;
-  rows.clear();
-  for (std::uint16_t ci : ifmap.at(0, 0)) {
-    rows.push_back(wbase + static_cast<std::size_t>(ci) * row_bytes);
-  }
-  dispatch_add_rows(half, currents.v.data(), rows.data(), rows.size(), out_c);
+  const auto span = ifmap.at(0, 0);
+  const IndexRun run{0, static_cast<std::uint32_t>(span.size()), 0};
+  add_runs(weight_rows(weights, out_c), currents.v.data(), span.data(), &run,
+           1);
   scratch.run.out_nnz =
       snn::lif_step_into(spec.lif, currents, membrane, scratch.run.out_spikes);
 }
@@ -352,13 +447,7 @@ void fc_functional_batch(const snn::LayerSpec& spec,
                          const snn::LayerWeights& weights,
                          std::span<const FcBatchLane> lanes) {
   const int out_c = spec.out_c;
-  const bool half = use_half_rows(weights, out_c);
-  const char* wbase = half
-                          ? reinterpret_cast<const char*>(weights.half.data())
-                          : reinterpret_cast<const char*>(weights.v.data());
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(out_c) *
-      (half ? sizeof(std::uint16_t) : sizeof(float));
+  const WeightRows w = weight_rows(weights, out_c);
   for (const FcBatchLane& lane : lanes) {
     SPK_CHECK(lane.ifmap->h() == 1 && lane.ifmap->w() == 1 &&
                   lane.ifmap->c() == spec.in_c,
@@ -375,28 +464,25 @@ void fc_functional_batch(const snn::LayerSpec& spec,
   // serial fc_functional call would use — bit-identical currents.
   constexpr std::size_t kBandBytes = 32 * 1024;
   const int band_rows = std::max<int>(
-      1, static_cast<int>(kBandBytes / std::max<std::size_t>(row_bytes, 1)));
+      1, static_cast<int>(kBandBytes / std::max<std::size_t>(w.row_bytes, 1)));
   // Per-lane position in its sorted index span. thread_local so the steady
   // state reuses capacity (the batch call never nests or recurses); every
   // other buffer lives in the lanes' own scratch arenas.
-  static thread_local std::vector<std::size_t> cursors;
+  static thread_local std::vector<std::uint32_t> cursors;
   cursors.assign(lanes.size(), 0);
   for (int c_lo = 0; c_lo < spec.in_c; c_lo += band_rows) {
-    const std::uint16_t c_hi = static_cast<std::uint16_t>(
-        std::min<int>(spec.in_c, c_lo + band_rows));
+    // Compared as int: in_c may be 65536, one past the 16-bit index range.
+    const int c_hi = std::min(spec.in_c, c_lo + band_rows);
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       const auto span = lanes[i].ifmap->at(0, 0);
-      std::size_t& cur = cursors[i];
-      std::vector<const void*>& rows = lanes[i].scratch->main.rows;
-      rows.clear();
-      while (cur < span.size() && span[cur] < c_hi) {
-        rows.push_back(wbase +
-                       static_cast<std::size_t>(span[cur]) * row_bytes);
-        ++cur;
+      IndexRun run{cursors[i], cursors[i], 0};
+      while (run.hi < span.size() && static_cast<int>(span[run.hi]) < c_hi) {
+        ++run.hi;
       }
-      if (!rows.empty()) {
-        dispatch_add_rows(half, lanes[i].scratch->main.currents.v.data(),
-                          rows.data(), rows.size(), out_c);
+      cursors[i] = run.hi;
+      if (run.hi > run.lo) {
+        add_runs(w, lanes[i].scratch->main.currents.v.data(), span.data(),
+                 &run, 1);
       }
     }
   }
@@ -426,7 +512,7 @@ void encode_functional(const snn::LayerSpec& spec,
                        const snn::LayerWeights& weights,
                        const snn::Tensor& padded_image, snn::Tensor& membrane,
                        KernelScratch& scratch) {
-  shape_functional(spec, scratch);
+  shape_functional(spec, nullptr, scratch);
   scratch.run.out_nnz = encode_functional_rows(
       spec, weights, padded_image, membrane, scratch, 0, spec.out_h());
 }
@@ -435,47 +521,65 @@ void encode_functional(const snn::LayerSpec& spec,
 // Timing passes
 // ---------------------------------------------------------------------------
 
-void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
-                 const RunOptions& opt, KernelScratch& scratch) {
+namespace {
+
+/// Conflict stretch of the conv/FC sparse streams.
+double sparse_stretch(const RunOptions& opt) {
+  return opt.variant == Variant::kBaseline
+             ? 1.0
+             : opt.cost.conflict_stretch(access_rate(opt.variant, opt.cost),
+                                         opt.cores);
+}
+
+/// The window's sub-layer: its channel extent over its output rows' halo'd
+/// input rows.
+snn::LayerSpec window_spec(const snn::LayerSpec& spec, const PriceWindow& win) {
+  snn::LayerSpec sub = spec;
+  sub.out_c = win.c_hi - win.c_lo;
+  if (spec.kind != snn::LayerKind::kFc) {
+    sub.in_h = win.oy_hi - win.oy_lo + spec.k - 1;
+  }
+  return sub;
+}
+
+void conv_time_window(const snn::LayerSpec& spec,
+                      const compress::CsrIfmap& ifmap,
+                      const StreamProfile& profile, const snn::SpikeMap& out,
+                      const PriceWindow& win, const RunOptions& opt,
+                      KernelScratch& scratch) {
   const CostParams& p = opt.cost;
   const common::FpFormat fmt = opt.fmt;
   const int simd = common::simd_lanes(fmt);
   const bool fp8 = fmt == common::FpFormat::FP8;
+  const snn::LayerSpec sub = window_spec(spec, win);
   const int k = spec.k;
-  const int oh = spec.out_h(), ow = spec.out_w();
+  const int ow = spec.out_w();
 
   LayerRun& run = scratch.run;
-  const snn::SpikeMap& out = run.out_spikes;
-  const int groups = n_groups(spec.out_c, fmt);
-  const double stretch =
-      opt.variant == Variant::kBaseline
-          ? 1.0
-          : p.conflict_stretch(access_rate(opt.variant, p), opt.cores);
+  const int groups = n_groups(sub.out_c, fmt);
+  const double stretch = sparse_stretch(opt);
 
   KernelStats& st = run.stats;
   st.reset();
   st.active_cores = opt.cores;
   std::vector<double>& rf_costs = scratch.tasks;
   rf_costs.clear();
-  rf_costs.reserve(static_cast<std::size_t>(oh) * ow);
+  rf_costs.reserve(static_cast<std::size_t>(win.oy_hi - win.oy_lo) * ow);
   scratch.group_counts.resize(static_cast<std::size_t>(groups));
   double* gcounts = scratch.group_counts.data();
-  for (int oy = 0; oy < oh; ++oy) {
+  double fired = 0;
+  for (int oy = win.oy_lo; oy < win.oy_hi; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
-      // Stream lengths of the k*k SpVAs of this receptive field. The same
-      // streams repeat for every SIMD output-channel group.
-      double elems = 0;
-      double fpu_time = 0;   // FPU sequencer timeline (streams + residues)
-      double int_time = 0;   // integer-core timeline (setup + activation)
-      for (int kh = 0; kh < k; ++kh) {
-        for (int kw = 0; kw < k; ++kw) {
-          const double s = ifmap.stream_len(oy + kh, ox + kw);
-          elems += s;
-          fpu_time += p.fadd_latency * s * stretch + p.ss_residue;
-        }
-      }
+      // The k*k SpVA streams of this receptive field (from the profile);
+      // the same streams repeat for every SIMD output-channel group.
+      const std::size_t pos = static_cast<std::size_t>(oy) * ow + ox;
+      const double elems = profile.elems[pos];
+      double fpu_time = profile.fpu_time[pos];  // FPU sequencer timeline
+      double int_time = 0;  // integer-core timeline (setup + activation)
       st.fpu_ops += elems * groups;
-      group_counts_at(out, oy, ox, simd, groups, gcounts);
+      common::simd::group_spike_counts(&out.at(oy, ox, win.c_lo), sub.out_c,
+                                       simd, groups, gcounts);
+      for (int g = 0; g < groups; ++g) fired += gcounts[g];
 
       double rf = 0;
       if (opt.variant == Variant::kSpikeStream) {
@@ -525,41 +629,51 @@ void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
       rf_costs.push_back(rf);
     }
   }
+  run.out_nnz = static_cast<std::size_t>(fired);
 
   schedule_into(opt, rf_costs, scratch.sched);
   st.core_cycles = scratch.sched.core_cycles;
   st.compute_cycles = scratch.sched.makespan + p.icache_layer_warmup;
 
   run.plan = plan_layer(
-      spec, fmt, static_cast<double>(ifmap.footprint_bytes()),
+      sub, fmt,
       static_cast<double>(
-          compress::CsrIfmap::footprint_from_count(run.out_nnz, oh, ow)),
+          ifmap.rows_footprint_bytes(win.oy_lo, win.oy_lo + sub.in_h)),
+      static_cast<double>(compress::CsrIfmap::footprint_from_count(
+          run.out_nnz, sub.out_h(), ow)),
       p, 128.0 * 1024, opt.double_buffer);
   finish_timing(opt, scratch);
 }
 
-void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
-               const RunOptions& opt, KernelScratch& scratch) {
+void fc_time_window(const snn::LayerSpec& spec,
+                    const compress::CsrIfmap& ifmap, const snn::SpikeMap& out,
+                    const PriceWindow& win, const RunOptions& opt,
+                    KernelScratch& scratch) {
   const CostParams& p = opt.cost;
   const common::FpFormat fmt = opt.fmt;
   const int simd = common::simd_lanes(fmt);
   const bool fp8 = fmt == common::FpFormat::FP8;
+  const snn::LayerSpec sub = window_spec(spec, win);
 
   LayerRun& run = scratch.run;
+  const int groups = n_groups(sub.out_c, fmt);
+  scratch.group_counts.resize(static_cast<std::size_t>(groups));
+  double* gcounts = scratch.group_counts.data();
+  common::simd::group_spike_counts(&out.at(0, 0, win.c_lo), sub.out_c, simd,
+                                   groups, gcounts);
+  double fired = 0;
+  for (int g = 0; g < groups; ++g) fired += gcounts[g];
+  run.out_nnz = static_cast<std::size_t>(fired);
   run.plan = plan_layer(
-      spec, fmt, static_cast<double>(ifmap.footprint_bytes()),
+      sub, fmt, static_cast<double>(ifmap.footprint_bytes()),
       static_cast<double>(
           compress::CsrIfmap::footprint_from_count(run.out_nnz, 1, 1)),
       p, 128.0 * 1024, opt.double_buffer, opt.segment_major_lanes);
 
-  const int groups = n_groups(spec.out_c, fmt);
   const double s_total = static_cast<double>(ifmap.nnz());
   const int segs = run.plan.in_segments;
   const double s_seg = s_total / segs;
-  const double stretch =
-      opt.variant == Variant::kBaseline
-          ? 1.0
-          : p.conflict_stretch(access_rate(opt.variant, p), opt.cores);
+  const double stretch = sparse_stretch(opt);
 
   KernelStats& st = run.stats;
   st.reset();
@@ -567,9 +681,6 @@ void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
   std::vector<double>& tasks = scratch.tasks;
   tasks.clear();
   tasks.reserve(static_cast<std::size_t>(groups));
-  scratch.group_counts.resize(static_cast<std::size_t>(groups));
-  double* gcounts = scratch.group_counts.data();
-  group_counts_at(run.out_spikes, 0, 0, simd, groups, gcounts);
   for (int g = 0; g < groups; ++g) {
     const double gs = gcounts[g];
     double t = 0;
@@ -621,19 +732,21 @@ void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
   finish_timing(opt, scratch);
 }
 
-void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
-                   KernelScratch& scratch) {
+void encode_time_window(const snn::LayerSpec& spec, const snn::SpikeMap& out,
+                        const PriceWindow& win, const RunOptions& opt,
+                        KernelScratch& scratch) {
   const CostParams& p = opt.cost;
   const common::FpFormat fmt = opt.fmt;
   const int simd = common::simd_lanes(fmt);
   const bool fp8 = fmt == common::FpFormat::FP8;
+  const snn::LayerSpec sub = window_spec(spec, win);
 
   // Conv-as-matmul over the im2row stream: each core owns a set of output-
   // channel groups (Section III-F) and walks all output positions.
   LayerRun& run = scratch.run;
-  const int groups = n_groups(spec.out_c, fmt);
+  const int groups = n_groups(sub.out_c, fmt);
   const double dot_len = static_cast<double>(spec.k) * spec.k * spec.in_c;
-  const int oh = spec.out_h(), ow = spec.out_w();
+  const int ow = spec.out_w();
   const double stretch =
       opt.variant == Variant::kBaseline
           ? 1.0
@@ -643,44 +756,45 @@ void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
   st.reset();
   st.active_cores = opt.cores;
 
-  // One sweep over the output spikes fills the per-(position, group) counts
-  // the group-major timing loops below consume.
-  const std::size_t positions = static_cast<std::size_t>(oh) * ow;
+  // One sweep over the window's output spikes fills the per-(position,
+  // group) counts the group-major timing loops below consume.
+  const std::size_t positions =
+      static_cast<std::size_t>(win.oy_hi - win.oy_lo) * ow;
   scratch.group_counts.resize(positions * static_cast<std::size_t>(groups));
   double* gcounts = scratch.group_counts.data();
-  for (int oy = 0; oy < oh; ++oy) {
+  double fired = 0;
+  for (int oy = win.oy_lo; oy < win.oy_hi; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
-      const std::size_t pos = static_cast<std::size_t>(oy) * ow + ox;
-      group_counts_at(run.out_spikes, oy, ox, simd, groups,
-                      gcounts + pos * static_cast<std::size_t>(groups));
+      const std::size_t pos = static_cast<std::size_t>(oy - win.oy_lo) * ow + ox;
+      double* pc = gcounts + pos * static_cast<std::size_t>(groups);
+      common::simd::group_spike_counts(&out.at(oy, ox, win.c_lo), sub.out_c,
+                                       simd, groups, pc);
+      for (int g = 0; g < groups; ++g) fired += pc[g];
     }
   }
+  run.out_nnz = static_cast<std::size_t>(fired);
 
   std::vector<double>& tasks = scratch.tasks;
   tasks.clear();
   tasks.reserve(static_cast<std::size_t>(groups));
   for (int g = 0; g < groups; ++g) {
     double fpu_time = 0, int_time = 0, t = 0;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        const std::size_t pos = static_cast<std::size_t>(oy) * ow + ox;
-        const double gs =
-            gcounts[pos * static_cast<std::size_t>(groups) + g];
-        const double act = activation_cycles(p, simd, gs, fp8);
-        count_activation(st, p, simd, gs, fp8);
-        st.fpu_ops += dot_len;
-        st.fpu_mac_ops += dot_len;
-        if (opt.variant != Variant::kBaseline) {
-          fpu_time += p.dense_ii() * dot_len * stretch + p.dense_residue;
-          int_time += p.dense_setup + act;
-          st.int_instrs += 10;               // affine SSR setup per dot
-          st.tcdm_words += 2.0 * dot_len;    // input + weight streams
-          st.ssr_elems += 2.0 * dot_len;
-        } else {
-          t += baseline_dense_dot_cycles(p, dot_len) + act;
-          st.int_instrs += 12 + 5.0 * dot_len;  // 2x-unrolled scalar loop
-          st.tcdm_words += 2.0 * dot_len;
-        }
+    for (std::size_t pos = 0; pos < positions; ++pos) {
+      const double gs = gcounts[pos * static_cast<std::size_t>(groups) + g];
+      const double act = activation_cycles(p, simd, gs, fp8);
+      count_activation(st, p, simd, gs, fp8);
+      st.fpu_ops += dot_len;
+      st.fpu_mac_ops += dot_len;
+      if (opt.variant != Variant::kBaseline) {
+        fpu_time += p.dense_ii() * dot_len * stretch + p.dense_residue;
+        int_time += p.dense_setup + act;
+        st.int_instrs += 10;               // affine SSR setup per dot
+        st.tcdm_words += 2.0 * dot_len;    // input + weight streams
+        st.ssr_elems += 2.0 * dot_len;
+      } else {
+        t += baseline_dense_dot_cycles(p, dot_len) + act;
+        st.int_instrs += 12 + 5.0 * dot_len;  // 2x-unrolled scalar loop
+        st.tcdm_words += 2.0 * dot_len;
       }
     }
     if (opt.variant != Variant::kBaseline) {
@@ -692,8 +806,74 @@ void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
   st.core_cycles = scratch.sched.core_cycles;
   st.compute_cycles = scratch.sched.makespan + p.icache_layer_warmup;
 
-  run.plan = plan_encode_layer(spec, fmt, p, 128.0 * 1024, opt.double_buffer);
+  run.plan = plan_encode_layer(sub, fmt, p, 128.0 * 1024, opt.double_buffer);
   finish_timing(opt, scratch);
+}
+
+}  // namespace
+
+void conv_stream_profile(const snn::LayerSpec& spec,
+                         const compress::CsrIfmap& ifmap,
+                         const RunOptions& opt, StreamProfile& profile) {
+  const CostParams& p = opt.cost;
+  const int k = spec.k;
+  const int oh = spec.out_h(), ow = spec.out_w();
+  const double stretch = sparse_stretch(opt);
+  const std::size_t positions = static_cast<std::size_t>(oh) * ow;
+  profile.elems.resize(positions);
+  profile.fpu_time.resize(positions);
+  std::size_t pos = 0;
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox, ++pos) {
+      double elems = 0;
+      double fpu_time = 0;
+      for (int kh = 0; kh < k; ++kh) {
+        for (int kw = 0; kw < k; ++kw) {
+          const double s = ifmap.stream_len(oy + kh, ox + kw);
+          elems += s;
+          fpu_time += p.fadd_latency * s * stretch + p.ss_residue;
+        }
+      }
+      profile.elems[pos] = elems;
+      profile.fpu_time[pos] = fpu_time;
+    }
+  }
+}
+
+void time_window(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                 const StreamProfile& profile, const snn::SpikeMap& out,
+                 const PriceWindow& win, const RunOptions& opt,
+                 KernelScratch& ks) {
+  switch (spec.kind) {
+    case snn::LayerKind::kEncodeConv:
+      encode_time_window(spec, out, win, opt, ks);
+      return;
+    case snn::LayerKind::kConv:
+      conv_time_window(spec, *ifmap, profile, out, win, opt, ks);
+      return;
+    case snn::LayerKind::kFc:
+      fc_time_window(spec, *ifmap, out, win, opt, ks);
+      return;
+  }
+}
+
+void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
+                 const RunOptions& opt, KernelScratch& scratch) {
+  conv_stream_profile(spec, ifmap, opt, scratch.profile);
+  conv_time_window(spec, ifmap, scratch.profile, scratch.run.out_spikes,
+                   whole_layer(spec), opt, scratch);
+}
+
+void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
+               const RunOptions& opt, KernelScratch& scratch) {
+  fc_time_window(spec, ifmap, scratch.run.out_spikes, whole_layer(spec), opt,
+                 scratch);
+}
+
+void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
+                   KernelScratch& scratch) {
+  encode_time_window(spec, scratch.run.out_spikes, whole_layer(spec), opt,
+                     scratch);
 }
 
 void fc_fanin_shard_timing(const snn::LayerSpec& spec,
@@ -705,12 +885,14 @@ void fc_fanin_shard_timing(const snn::LayerSpec& spec,
   const common::FpFormat fmt = opt.fmt;
 
   // CSR channel indices are sorted, so the spikes this cluster owns are one
-  // contiguous run of the index array.
+  // contiguous run of the index array. Bounds compare as int: c_hi may be
+  // 65536, one past the 16-bit index range.
   const auto span = ifmap.at(0, 0);
-  const auto lo_it = std::lower_bound(span.begin(), span.end(),
-                                      static_cast<std::uint16_t>(c_lo));
-  const auto hi_it = std::lower_bound(span.begin(), span.end(),
-                                      static_cast<std::uint16_t>(c_hi));
+  const auto below = [](std::uint16_t c, int bound) {
+    return static_cast<int>(c) < bound;
+  };
+  const auto lo_it = std::lower_bound(span.begin(), span.end(), c_lo, below);
+  const auto hi_it = std::lower_bound(span.begin(), span.end(), c_hi, below);
   const double s_total = static_cast<double>(hi_it - lo_it);
 
   // This cluster's slice of the layer: its weight-row band plus its ifmap
@@ -728,10 +910,7 @@ void fc_fanin_shard_timing(const snn::LayerSpec& spec,
   const int groups = n_groups(spec.out_c, fmt);
   const int segs = run.plan.in_segments;
   const double s_seg = s_total / segs;
-  const double stretch =
-      opt.variant == Variant::kBaseline
-          ? 1.0
-          : p.conflict_stretch(access_rate(opt.variant, p), opt.cores);
+  const double stretch = sparse_stretch(opt);
 
   KernelStats& st = run.stats;
   st.reset();

@@ -105,20 +105,22 @@ void encode_functional(const snn::LayerSpec& spec,
 // Row-band forms of the conv/encode functional passes, for callers that
 // split one layer into contiguous output-row bands on several host threads
 // (runtime/backend_sharded.hpp). shape_functional() sizes scratch.currents
-// and scratch.run.out_spikes for the whole layer once; each band then fills
-// rows [oy_lo, oy_hi) of both, LIF-steps the same rows of `membrane`, and
+// and scratch.run.out_spikes for the whole layer once and, for a conv layer
+// (`ifmap` non-null) with narrow rows, builds the weight-row offset index
+// every band reads (KernelScratch::row_index), so conv bands must follow a
+// shape_functional() call on the same ifmap; each band then fills rows
+// [oy_lo, oy_hi) of both, LIF-steps the same rows of `membrane`, and
 // returns its spike count. Every neuron sees the same fan-in in the same
 // order as the whole-layer call, so any banding is bit-identical to it.
-// Bands over disjoint rows may run concurrently on one shared scratch; a
-// conv band hoists its weight-row pointers into its own `rows` buffer.
+// Bands over disjoint rows may run concurrently on one shared scratch.
 
-void shape_functional(const snn::LayerSpec& spec, KernelScratch& scratch);
+void shape_functional(const snn::LayerSpec& spec,
+                      const compress::CsrIfmap* ifmap, KernelScratch& scratch);
 std::size_t conv_functional_rows(const snn::LayerSpec& spec,
                                  const snn::LayerWeights& weights,
                                  const compress::CsrIfmap& ifmap,
                                  snn::Tensor& membrane, KernelScratch& scratch,
-                                 std::vector<const void*>& rows, int oy_lo,
-                                 int oy_hi);
+                                 int oy_lo, int oy_hi);
 std::size_t encode_functional_rows(const snn::LayerSpec& spec,
                                    const snn::LayerWeights& weights,
                                    const snn::Tensor& padded_image,
@@ -159,6 +161,41 @@ void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
                const RunOptions& opt, KernelScratch& scratch);
 void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
                    KernelScratch& scratch);
+
+// --- windowed timing (per-cluster pricing) -----------------------------------
+// The whole-layer timing passes above are two steps: a per-layer stream
+// profile (conv only: per output pixel, the summed k*k stream lengths and
+// their FPU time) and a pricer over one window of the layer — an output-
+// channel range by an output-row range — that reads the window's SIMD-group
+// spike counts in place from the layer's output map. The sharded backend
+// builds the profile once and prices each cluster's window of it, with the
+// same numbers the whole-layer pass gives the window's sub-layer (out_c =
+// channel extent, in_h = row extent + k - 1, the input rows under the
+// window as its ifmap).
+
+/// Output channels [c_lo, c_hi) over output rows [oy_lo, oy_hi).
+struct PriceWindow {
+  int c_lo = 0, c_hi = 0;
+  int oy_lo = 0, oy_hi = 0;
+};
+/// The window covering all of `spec`.
+inline PriceWindow whole_layer(const snn::LayerSpec& spec) {
+  return {0, spec.out_c, 0, spec.out_h()};
+}
+
+/// Fill `profile` for a conv layer over its compressed input.
+void conv_stream_profile(const snn::LayerSpec& spec,
+                         const compress::CsrIfmap& ifmap,
+                         const RunOptions& opt, StreamProfile& profile);
+
+/// Price window `win` of `spec` into ks.run.stats / plan / out_nnz (the
+/// window's spike count in `out`, the layer's output map). `ifmap` is the
+/// layer's whole input (null for encode layers) and `profile` its
+/// conv_stream_profile (unused by encode and FC layers).
+void time_window(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                 const StreamProfile& profile, const snn::SpikeMap& out,
+                 const PriceWindow& win, const RunOptions& opt,
+                 KernelScratch& ks);
 
 // --- fan-in shard timing (FC partial-sum sharding) ---------------------------
 // An FC layer partitioned along its fan-in (kernels/partition.hpp, axis

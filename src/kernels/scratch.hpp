@@ -1,11 +1,12 @@
 // Scratch arenas for the simulation hot path. Every buffer a layer execution
-// needs — accumulator planes, spike maps, CSR index/row buffers, timing-pass
-// task vectors — lives in one of these structs, owned by snn::NetworkState
-// (one LayerScratch per layer per state) and *borrowed* by the engine,
-// backends and kernels for the duration of a call. Buffers are grown on first
-// use and only ever reused after that, so steady-state inference performs
-// zero heap allocations per layer (tests/test_scratch_reuse.cpp pins this
-// down with an allocation-counting operator-new hook).
+// needs — accumulator planes, spike maps, CSR row-offset indices, timing-pass
+// profiles and task vectors — lives in one of these structs, owned by
+// snn::NetworkState (one LayerScratch per layer per state) and *borrowed* by
+// the engine, backends and kernels for the duration of a call. Buffers are
+// grown on first use and only ever reused after that, so steady-state
+// inference performs zero heap allocations per layer
+// (tests/test_scratch_reuse.cpp pins this down with an allocation-counting
+// operator-new hook).
 //
 // Ownership rule: the state owns the memory, execution borrows it. A
 // NetworkState must therefore not be used from two threads at once — which
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "compress/csr_ifmap.hpp"
@@ -33,11 +35,20 @@ struct LayerRun {
   TilePlan plan;
 };
 
+/// Per-output-pixel stream profile of one conv layer's timing pass: the
+/// total stream length of the pixel's k*k SpVAs and their FPU sequencer
+/// time. Both depend only on the input spikes, so one profile per layer
+/// serves every cluster's pricing of a channel or row range of it.
+struct StreamProfile {
+  std::vector<double> elems;     ///< summed SpVA stream lengths
+  std::vector<double> fpu_time;  ///< sum of the k*k stream timelines
+};
+
 /// Everything one kernel invocation (conv / FC / encode) allocates: the
-/// functional-pass accumulator plane, the hoisted weight-row pointer list,
-/// the timing-pass task costs and group spike counts, and the schedule
-/// simulation buffers. Reused verbatim across layers of compatible shape;
-/// grown (never shrunk) otherwise.
+/// functional-pass accumulator plane and weight-row offset index, the
+/// timing-pass stream profile, task costs and group spike counts, and the
+/// schedule simulation buffers. Reused verbatim across layers of compatible
+/// shape; grown (never shrunk) otherwise.
 struct KernelScratch {
   LayerRun run;                    ///< kernel output, reused across calls
   /// Batch-level weight-tile reuse: true once this (state, layer) lane — one
@@ -47,36 +58,29 @@ struct KernelScratch {
   /// membrane reset between samples is exactly when the pin pays off.
   bool weights_warm = false;
   snn::Tensor currents;            ///< synaptic-current accumulator plane
-  /// Hoisted weight-row pointers of one receptive field. Type-erased: they
-  /// point at float32 rows or (on the half-precision fast path) binary16
-  /// rows; the add loop that fills them knows which.
-  std::vector<const void*> rows;
+  /// Conv functional pass (layers with rows of at most 8 lanes): per
+  /// ifmap spike i at column x, the weight-row offset x * in_c + c_idcs[i]
+  /// within its kernel row. A receptive field's k spans under one kernel
+  /// row are then one contiguous CSR run whose rows sit at a fixed offset
+  /// from these values. Reserved for the layer's worst case on first use.
+  std::vector<std::uint32_t> row_index;
+  StreamProfile profile;           ///< conv timing: per-pixel streams
   std::vector<double> tasks;       ///< timing pass: per-RF / per-group costs
   std::vector<double> group_counts;  ///< per-position SIMD-group spike counts
   ScheduleResult sched;            ///< steal/static schedule simulation
 };
 
-/// Per-cluster lane of the sharded backend: the scratch one simulated
-/// cluster's timing pass runs in — its `ks.run.out_spikes` holds that
-/// cluster's slice of the layer output — plus, for ifmap stripes, the halo'd
-/// CSR row slice the cluster streams. With host threading on, lane b's
-/// `ks.rows` also serves the b-th output-row band of the layer's single
-/// functional pass. All buffers grow on first use and are reused afterwards.
-struct ShardLane {
-  KernelScratch ks;
-  compress::CsrIfmap csr;   ///< ifmap-stripe: halo'd CSR row slice
-};
-
 /// Per-(state, layer) arena: the main execution lane plus the engine-side
 /// buffers (input compression, spike routing, image padding) and the sharded
-/// backend's per-cluster lanes (created lazily on first sharded run).
+/// backend's per-cluster lanes (created lazily on first sharded run): lane s
+/// holds the stats, plan and schedule buffers of cluster s's timing pass.
 struct LayerScratch {
   KernelScratch main;
   compress::CsrIfmap csr;   ///< engine: compressed input ifmap of this layer
   snn::SpikeMap routed;     ///< engine: pooled/padded/flattened output carry
   snn::SpikeMap pooled;     ///< engine: OR-pool intermediate
   snn::Tensor padded;       ///< engine: encode-layer padded image
-  std::vector<ShardLane> lanes;  ///< ShardedBackend: one per cluster
+  std::vector<KernelScratch> lanes;  ///< ShardedBackend: one per cluster
 };
 
 }  // namespace spikestream::kernels

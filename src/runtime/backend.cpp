@@ -35,8 +35,6 @@ void ExecutionBackend::presize_state(snn::NetworkState& state,
         positions * static_cast<std::size_t>(spec.in_c);
     // Input-compression arena: worst case is every input neuron spiking.
     scratch.csr.reserve(positions, in_elems);
-    // Hoisted weight-row pointers of one receptive field: k*k full streams.
-    scratch.main.rows.reserve(spec.fan_in());
   }
 }
 

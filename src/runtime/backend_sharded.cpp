@@ -9,39 +9,6 @@
 
 namespace spikestream::runtime {
 
-namespace {
-
-/// Copy channels [lo, hi) of a spike map into a compact caller-owned map
-/// (reused capacity) and return how many of them fired.
-std::size_t slice_channels_into(const snn::SpikeMap& t, int lo, int hi,
-                                snn::SpikeMap& out) {
-  out.reshape(t.h, t.w, hi - lo);
-  const std::uint8_t* src = t.v.data() + lo;
-  std::uint8_t* dst = out.v.data();
-  const std::size_t positions =
-      static_cast<std::size_t>(t.h) * static_cast<std::size_t>(t.w);
-  const std::size_t n = static_cast<std::size_t>(hi - lo);
-  for (std::size_t p = 0; p < positions; ++p) {
-    std::copy_n(src + p * static_cast<std::size_t>(t.c), n, dst + p * n);
-  }
-  return snn::spike_count(out);
-}
-
-/// Copy spatial rows [lo, hi) of a spike map into a compact caller-owned map
-/// and return how many of them fired. Rows are contiguous in HWC, so this is
-/// one block copy.
-std::size_t slice_rows_into(const snn::SpikeMap& t, int lo, int hi,
-                            snn::SpikeMap& out) {
-  out.reshape(hi - lo, t.w, t.c);
-  const std::size_t row =
-      static_cast<std::size_t>(t.w) * static_cast<std::size_t>(t.c);
-  std::copy_n(t.v.data() + static_cast<std::size_t>(lo) * row,
-              static_cast<std::size_t>(hi - lo) * row, out.v.data());
-  return snn::spike_count(out);
-}
-
-}  // namespace
-
 ShardedBackend::ShardedBackend(const kernels::RunOptions& opt,
                                const BackendConfig& cfg,
                                std::shared_ptr<WorkerPool> pool)
@@ -222,27 +189,10 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
                                    const snn::Network& net) const {
   ExecutionBackend::presize_state(state, net);  // worst-case main arenas
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const snn::LayerSpec& spec = net.layer(l);
-    const kernels::LayerPlan& plan = plan_for(spec);
-    const std::size_t shards = plan.n() > 1 ? plan.n() : 0;
-    const std::size_t bands = host_bands(spec);  // 1 = main's own buffer
-    const std::size_t lanes = std::max(shards, bands);
-    if (lanes <= 1) continue;
+    const std::size_t shards = plan_for(net.layer(l)).n();
     kernels::LayerScratch& scratch = state.scratch(l);
-    if (scratch.lanes.size() < lanes) scratch.lanes.resize(lanes);
-    for (std::size_t s = 0; s < lanes; ++s) {
-      if (bands > 1 && s < bands) {
-        scratch.lanes[s].ks.rows.reserve(spec.fan_in());
-      }
-      if (s < shards && plan.axis == kernels::ShardAxis::kIfmapStripe) {
-        // Halo'd input stripe, zero-sparsity worst case.
-        const std::size_t in_rows =
-            static_cast<std::size_t>(plan.shards[s].extent() + spec.k - 1);
-        const std::size_t positions =
-            in_rows * static_cast<std::size_t>(spec.in_w);
-        scratch.lanes[s].csr.reserve(
-            positions, positions * static_cast<std::size_t>(spec.in_c));
-      }
+    if (shards > 1 && scratch.lanes.size() < shards) {
+      scratch.lanes.resize(shards);
     }
   }
 }
@@ -285,11 +235,10 @@ void ShardedBackend::run_functional(const snn::LayerSpec& spec,
     return;
   }
   // Conv / encode: contiguous output-row bands write disjoint rows of the
-  // shared currents, membrane and spikes (rows are contiguous in HWC); band b
-  // hoists its weight-row pointers into lane b's buffer.
-  kernels::shape_functional(spec, main);
+  // shared currents, membrane and spikes (rows are contiguous in HWC); conv
+  // bands share the row-offset index shape_functional builds once.
+  kernels::shape_functional(spec, ifmap, main);
   const std::size_t bands = host_bands(spec);
-  if (bands > 1 && scratch.lanes.size() < bands) scratch.lanes.resize(bands);
   const std::size_t oh = static_cast<std::size_t>(spec.out_h());
   std::atomic<std::size_t> fired{0};
   for_shards(bands, true, [&](std::size_t b) {
@@ -299,28 +248,11 @@ void ShardedBackend::run_functional(const snn::LayerSpec& spec,
         image != nullptr
             ? kernels::encode_functional_rows(spec, weights, *image, membrane,
                                               main, lo, hi)
-            : kernels::conv_functional_rows(
-                  spec, weights, *ifmap, membrane, main,
-                  bands > 1 ? scratch.lanes[b].ks.rows : main.rows, lo, hi);
+            : kernels::conv_functional_rows(spec, weights, *ifmap, membrane,
+                                            main, lo, hi);
     fired += n;
   });
   main.run.out_nnz = fired.load();
-}
-
-void ShardedBackend::time_shard(const snn::LayerSpec& sub,
-                                const compress::CsrIfmap* ifmap,
-                                kernels::KernelScratch& ks) const {
-  switch (sub.kind) {
-    case snn::LayerKind::kEncodeConv:
-      kernels::encode_timing(sub, opt_, ks);
-      return;
-    case snn::LayerKind::kConv:
-      kernels::conv_timing(sub, *ifmap, opt_, ks);
-      return;
-    case snn::LayerKind::kFc:
-      kernels::fc_timing(sub, *ifmap, opt_, ks);
-      return;
-  }
 }
 
 // Each shard's timing pass ran the tile planner on its own sub-spec, so
@@ -336,7 +268,7 @@ void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
   double slowest_eff = -1.0;
   double eff_max = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
-    const kernels::LayerRun& run = scratch.lanes[s].ks.run;
+    const kernels::LayerRun& run = scratch.lanes[s].run;
     if (s == 0) {
       merged.stats = run.stats;
     } else {
@@ -356,7 +288,7 @@ void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
     }
   }
   if (eff_max > merged.stats.cycles) merged.stats.cycles = eff_max;
-  merged.plan = scratch.lanes[slowest].ks.run.plan;
+  merged.plan = scratch.lanes[slowest].run.plan;
 }
 
 arch::NocModel ShardedBackend::noc_model() const {
@@ -417,71 +349,52 @@ void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Output-channel tiling (the historical scheme)
+// Output-channel tiles and ifmap stripes
 // ---------------------------------------------------------------------------
 
-void ShardedBackend::price_channel_shards(const kernels::LayerPlan& plan,
-                                          const snn::LayerSpec& spec,
-                                          const compress::CsrIfmap* ifmap,
-                                          kernels::LayerScratch& scratch,
-                                          int base) const {
-  const std::size_t n = plan.n();
-  kernels::LayerRun& merged = scratch.main.run;
-  for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
-    const kernels::ShardRange r = plan.shards[s];
-    kernels::KernelScratch& ks = scratch.lanes[s].ks;
-    snn::LayerSpec sub = spec;
-    sub.out_c = r.extent();
-    ks.run.out_nnz =
-        slice_channels_into(merged.out_spikes, r.lo, r.hi, ks.run.out_spikes);
-    time_shard(sub, ifmap, ks);
-  });
-  merge_shard_stats(scratch, n, merged, base);
-
-  // The input is multicast from the owner to every cluster of the group
-  // (each link charged once); the owner gathers the other clusters' ofmap
-  // slices.
-  const double input_bytes =
-      ifmap != nullptr
-          ? static_cast<double>(ifmap->footprint_bytes())
-          : static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
-                spec.in_w * spec.in_c;
-  arch::NocModel noc = noc_model();
-  noc.multicast(base, base, base + static_cast<int>(n), input_bytes);
-  for (std::size_t s = 1; s < n; ++s) {
-    noc.unicast(base + static_cast<int>(s), base,
-                static_cast<double>(compress::CsrIfmap::footprint_from_count(
-                    scratch.lanes[s].ks.run.out_nnz, spec.out_h(),
-                    spec.out_w())));
-  }
-  apply_noc(merged.stats, noc);
-}
-
-// ---------------------------------------------------------------------------
-// Ifmap stripes (spatial row bands, conv/encode)
-// ---------------------------------------------------------------------------
-
-void ShardedBackend::price_stripes(const kernels::LayerPlan& plan,
+void ShardedBackend::price_windows(const kernels::LayerPlan& plan,
                                    const snn::LayerSpec& spec,
                                    const compress::CsrIfmap* ifmap,
                                    kernels::LayerScratch& scratch,
                                    int base) const {
   const std::size_t n = plan.n();
   kernels::LayerRun& merged = scratch.main.run;
+  const bool stripes = plan.axis == kernels::ShardAxis::kIfmapStripe;
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     const kernels::ShardRange r = plan.shards[s];
-    kernels::ShardLane& lane = scratch.lanes[s];
-    snn::LayerSpec sub = spec;
-    sub.in_h = r.extent() + spec.k - 1;  // halo'd input rows
-    if (ifmap != nullptr) {
-      ifmap->slice_rows_into(r.lo, r.lo + sub.in_h, lane.csr);
+    kernels::PriceWindow win = kernels::whole_layer(spec);
+    if (stripes) {
+      win.oy_lo = r.lo;
+      win.oy_hi = r.hi;
+    } else {
+      win.c_lo = r.lo;
+      win.c_hi = r.hi;
     }
-    lane.ks.run.out_nnz =
-        slice_rows_into(merged.out_spikes, r.lo, r.hi, lane.ks.run.out_spikes);
-    time_shard(sub, ifmap != nullptr ? &lane.csr : nullptr, lane.ks);
+    kernels::time_window(spec, ifmap, scratch.main.profile, merged.out_spikes,
+                         win, opt_, scratch.lanes[s]);
   });
   merge_shard_stats(scratch, n, merged, base);
 
+  arch::NocModel noc = noc_model();
+  if (!stripes) {
+    // The input is multicast from the owner to every cluster of the group
+    // (each link charged once); the owner gathers the other clusters' ofmap
+    // slices.
+    const double input_bytes =
+        ifmap != nullptr
+            ? static_cast<double>(ifmap->footprint_bytes())
+            : static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
+                  spec.in_w * spec.in_c;
+    noc.multicast(base, base, base + static_cast<int>(n), input_bytes);
+    for (std::size_t s = 1; s < n; ++s) {
+      noc.unicast(base + static_cast<int>(s), base,
+                  static_cast<double>(compress::CsrIfmap::footprint_from_count(
+                      scratch.lanes[s].run.out_nnz, spec.out_h(),
+                      spec.out_w())));
+    }
+    apply_noc(merged.stats, noc);
+    return;
+  }
   // Stripes need no broadcast: clusters exchange only the halo overlap plus
   // the ofmap gather to the owner. Sparse stripes overlap by their summed
   // footprints minus one resident copy; dense image stripes duplicate
@@ -490,8 +403,9 @@ void ShardedBackend::price_stripes(const kernels::LayerPlan& plan,
   double halo = 0;
   if (ifmap != nullptr) {
     halo = -static_cast<double>(ifmap->footprint_bytes());
-    for (std::size_t s = 0; s < n; ++s) {
-      halo += static_cast<double>(scratch.lanes[s].csr.footprint_bytes());
+    for (const kernels::ShardRange& r : plan.shards) {
+      halo += static_cast<double>(
+          ifmap->rows_footprint_bytes(r.lo, r.hi + spec.k - 1));
     }
     halo = std::max(0.0, halo);
   } else {
@@ -500,13 +414,12 @@ void ShardedBackend::price_stripes(const kernels::LayerPlan& plan,
            spec.in_c;
   }
   const double per_pair = halo / static_cast<double>(n - 1);
-  arch::NocModel noc = noc_model();
   for (std::size_t s = 1; s < n; ++s) {
     const int c = base + static_cast<int>(s);
     noc.unicast(c - 1, c, per_pair);
     noc.unicast(c, base,
                 static_cast<double>(compress::CsrIfmap::footprint_from_count(
-                    scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
+                    scratch.lanes[s].run.out_nnz, plan.shards[s].extent(),
                     spec.out_w())));
   }
   apply_noc(merged.stats, noc);
@@ -525,7 +438,7 @@ void ShardedBackend::price_fc_fanin(const kernels::LayerPlan& plan,
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     kernels::fc_fanin_shard_timing(spec, ifmap, plan.shards[s].lo,
                                    plan.shards[s].hi, opt_,
-                                   scratch.lanes[s].ks);
+                                   scratch.lanes[s]);
   });
 
   kernels::LayerRun& merged = scratch.main.run;
@@ -566,18 +479,23 @@ const kernels::LayerRun& ShardedBackend::run_layer(
   const int base = stage != nullptr ? stage->cluster_lo : 0;
   // One functional pass over the full layer, whatever the plan: every shard
   // axis computes each neuron with its complete fan-in in the reference
-  // order, so the plan only decides how the clusters are priced.
+  // order, so the plan only decides how the clusters are priced. A conv
+  // layer's stream profile is likewise built once, then priced per window.
   run_functional(spec, weights, ifmap, image, membrane, scratch);
+  if (spec.kind == snn::LayerKind::kConv) {
+    kernels::conv_stream_profile(spec, *ifmap, opt_, scratch.main.profile);
+  }
   if (plan.n() > 1 && scratch.lanes.size() < plan.n()) {
     scratch.lanes.resize(plan.n());  // presize_state normally did this
   }
   if (plan.n() <= 1) {
-    time_shard(spec, ifmap, scratch.main);
-  } else if (plan.axis == kernels::ShardAxis::kOutputChannel) {
-    price_channel_shards(plan, spec, ifmap, scratch, base);
-  } else if (plan.axis == kernels::ShardAxis::kIfmapStripe &&
-             spec.kind != snn::LayerKind::kFc) {
-    price_stripes(plan, spec, ifmap, scratch, base);
+    kernels::time_window(spec, ifmap, scratch.main.profile,
+                         scratch.main.run.out_spikes,
+                         kernels::whole_layer(spec), opt_, scratch.main);
+  } else if (plan.axis == kernels::ShardAxis::kOutputChannel ||
+             (plan.axis == kernels::ShardAxis::kIfmapStripe &&
+              spec.kind != snn::LayerKind::kFc)) {
+    price_windows(plan, spec, ifmap, scratch, base);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kFanIn &&
                   spec.kind == snn::LayerKind::kFc,

@@ -8,10 +8,12 @@
 // The functional pass never shards. Every layer runs it once over the full
 // layer, on the engine's own weights, straight into the engine's membrane
 // and scratch.main; the plan then shapes only pricing and NoC traffic. Each
-// cluster runs the timing pass of its sub-layer (its channel range, or its
-// halo'd row stripe) over its slice of the output spikes, and an FC fan-in
-// segment is charged for streaming its input-channel band plus an explicit
-// partial-reduction tail on the merging cluster. Spikes are therefore
+// cluster prices the window of the layer it owns (its channel range, or its
+// output-row stripe over the halo'd input rows) straight from the layer's
+// output spikes and, for conv, from the one per-layer stream profile — no
+// per-cluster copies of spikes or CSR rows. An FC fan-in segment is charged
+// for streaming its input-channel band plus an explicit partial-reduction
+// tail on the merging cluster. Spikes are therefore
 // bit-identical to a single-cluster run for every plan by construction, and
 // a weight flipped in the engine's network is seen by every plan at once.
 //
@@ -19,9 +21,9 @@
 // or encode layer big enough for the pool splits its functional pass into
 // contiguous output-row bands on the persistent WorkerPool (shared with
 // BatchRunner when the engine provides one), and the clusters' timing
-// passes fan out there too. Per-band and per-cluster buffers live in the
-// ShardLanes of the borrowed LayerScratch, so steady state performs zero
-// heap allocations in both serial and pooled mode.
+// passes fan out there too. Per-cluster buffers live in the lanes of the
+// borrowed LayerScratch, so steady state performs zero heap allocations in
+// both serial and pooled mode.
 //
 // Per-cluster KernelStats merge with wall-clock = max and activity = sum;
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
@@ -82,8 +84,7 @@ class ShardedBackend : public ExecutionBackend {
   /// so the plans live alongside the quantized weights from construction on.
   /// Nothing else is built: shards read the engine's weights directly.
   void prepare(const snn::Network& net) const override;
-  /// One lane per planned cluster (or host row band, if more) in every
-  /// layer's scratch.
+  /// One lane per planned cluster in every sharded layer's scratch.
   void presize_state(snn::NetworkState& state,
                      const snn::Network& net) const override;
 
@@ -178,9 +179,6 @@ class ShardedBackend : public ExecutionBackend {
                       const compress::CsrIfmap* ifmap,
                       const snn::Tensor* image, snn::Tensor& membrane,
                       kernels::LayerScratch& scratch) const;
-  /// The timing pass matching `sub.kind` over `ks.run.out_spikes`.
-  void time_shard(const snn::LayerSpec& sub, const compress::CsrIfmap* ifmap,
-                  kernels::KernelScratch& ks) const;
 
   /// Shared body of run_conv / run_fc / run_encode: pin the plan, run the
   /// functional pass once, price the plan's shards, charge a stage handoff.
@@ -217,18 +215,15 @@ class ShardedBackend : public ExecutionBackend {
                            kernels::LayerRun& run) const;
 
   // The pricing passes below run after run_functional: scratch.main.run
-  // holds the full layer's spikes, and each cluster's timing pass reads its
-  // slice of them. `base` is the first cluster slot of the executing group.
+  // holds the full layer's spikes (and scratch.main.profile a conv layer's
+  // stream profile), and each cluster's timing pass prices its window of
+  // them in place. `base` is the first cluster slot of the executing group.
 
-  /// Output-channel tiling: the input is broadcast, each cluster prices its
-  /// SIMD-aligned channel range, the owner gathers the ofmap slices.
-  void price_channel_shards(const kernels::LayerPlan& plan,
-                            const snn::LayerSpec& spec,
-                            const compress::CsrIfmap* ifmap,
-                            kernels::LayerScratch& scratch, int base) const;
-  /// Ifmap stripes (conv and encode): each cluster prices its output-row
-  /// band over its halo'd input stripe; neighbors exchange halos.
-  void price_stripes(const kernels::LayerPlan& plan,
+  /// Output-channel tiles (input broadcast, each cluster prices its
+  /// SIMD-aligned channel range, the owner gathers the ofmap slices) and
+  /// ifmap stripes (conv and encode: each cluster prices its output-row band
+  /// over its halo'd input stripe; neighbors exchange halos).
+  void price_windows(const kernels::LayerPlan& plan,
                      const snn::LayerSpec& spec,
                      const compress::CsrIfmap* ifmap,
                      kernels::LayerScratch& scratch, int base) const;

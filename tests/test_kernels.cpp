@@ -31,6 +31,15 @@ snn::SpikeMap random_spikes(int h, int w, int c, double rate,
   return s;
 }
 
+/// Every position (borders included) spikes with probability `rate`.
+snn::SpikeMap full_random_spikes(int h, int w, int c, double rate,
+                                 std::uint64_t seed) {
+  sc::Rng rng(seed);
+  snn::SpikeMap s(h, w, c);
+  for (auto& b : s.v) b = rng.bernoulli(rate) ? 1 : 0;
+  return s;
+}
+
 snn::LayerSpec conv_spec(int hw, int in_c, int out_c) {
   snn::LayerSpec s;
   s.kind = snn::LayerKind::kConv;
@@ -61,29 +70,79 @@ snn::LayerWeights make_weights(const snn::LayerSpec& s, std::uint64_t seed) {
 class ConvKernelMatchesReference
     : public ::testing::TestWithParam<std::tuple<k::Variant, sc::FpFormat>> {};
 
+// Sweeps the shapes that select different field walks and accumulation
+// paths — 8-lane rows walked as CSR runs and held in one register (out_c 8),
+// per-position spans over generic float32 rows (12, 16, 32), binary16 rows
+// (half-exact weights with out_c a multiple of 16) — over odd and
+// even fan-ins, kernel sizes 1/3/5 (1..5 CSR runs per field), non-square
+// maps, empty to full densities, and whole-layer vs banded execution.
 TEST_P(ConvKernelMatchesReference, BitExactSpikes) {
   const auto [variant, fmt] = GetParam();
-  const auto spec = conv_spec(12, 16, 24);
-  const auto w = make_weights(spec, 7);
-  const auto in = random_spikes(12, 12, 16, 0.25, 8);
-  const auto csr = spikestream::compress::CsrIfmap::encode(in);
-
-  // Reference path.
-  snn::Tensor ref_mem(spec.out_h(), spec.out_w(), spec.out_c);
-  const snn::Tensor cur = snn::Reference::conv_currents(in, w);
-  snn::Tensor ref_mem2 = ref_mem;
-  const snn::SpikeMap expect = snn::lif_step(spec.lif, cur, ref_mem2);
-
-  // Kernel path.
   k::RunOptions opt;
   opt.variant = variant;
   opt.fmt = fmt;
-  snn::Tensor mem(spec.out_h(), spec.out_w(), spec.out_c);
-  const auto run = k::run_conv_layer(spec, w, csr, mem, opt);
-  EXPECT_EQ(run.out_spikes.v, expect.v);
-  EXPECT_EQ(mem.v, ref_mem2.v);  // membranes advance identically
-  EXPECT_GT(run.stats.cycles, 0.0);
-  EXPECT_GT(run.stats.fpu_ops, 0.0);
+  const int in_h = 9, in_w = 7;
+  std::uint64_t seed = 100;
+  for (const int out_c : {8, 12, 16, 32}) {
+    for (const int in_c : {3, 16, 37}) {
+      for (const int kk : {1, 3, 5}) {
+        for (const double density : {0.0, 0.02, 0.5, 1.0}) {
+          for (const bool half : {false, true}) {
+            if (half && out_c % 16 != 0) continue;
+            SCOPED_TRACE(::testing::Message()
+                         << "out_c=" << out_c << " in_c=" << in_c
+                         << " k=" << kk << " density=" << density
+                         << " half=" << half);
+            snn::LayerSpec spec = conv_spec(in_h, in_c, out_c);
+            spec.in_w = in_w;
+            spec.k = kk;
+            snn::LayerWeights w = make_weights(spec, ++seed);
+            if (half) {
+              for (float& x : w.v) x = sc::quantize(x, sc::FpFormat::FP16);
+              w.build_half();
+              ASSERT_TRUE(w.half_exact);
+            }
+            const auto in =
+                full_random_spikes(in_h, in_w, in_c, density, ++seed);
+            const auto csr = spikestream::compress::CsrIfmap::encode(in);
+
+            const snn::Tensor cur = snn::Reference::conv_currents(in, w);
+            snn::Tensor ref_mem(spec.out_h(), spec.out_w(), spec.out_c);
+            const snn::SpikeMap expect = snn::lif_step(spec.lif, cur, ref_mem);
+
+            // Whole layer (functional + timing).
+            k::KernelScratch ks;
+            snn::Tensor mem(spec.out_h(), spec.out_w(), spec.out_c);
+            const auto& run = k::run_conv_layer(spec, w, csr, mem, opt, ks);
+            EXPECT_EQ(ks.currents.v, cur.v);
+            EXPECT_EQ(run.out_spikes.v, expect.v);
+            EXPECT_EQ(mem.v, ref_mem.v);  // membranes advance identically
+            EXPECT_EQ(run.out_nnz, snn::spike_count(expect));
+            EXPECT_GT(run.stats.cycles, 0.0);
+            if (snn::spike_count(in) > 0) EXPECT_GT(run.stats.fpu_ops, 0.0);
+
+            // The same layer in 2 and 3 output-row bands on one scratch.
+            for (const int bands : {2, 3}) {
+              k::KernelScratch bs;
+              snn::Tensor bmem(spec.out_h(), spec.out_w(), spec.out_c);
+              k::shape_functional(spec, &csr, bs);
+              std::size_t fired = 0;
+              const int oh = spec.out_h();
+              for (int b = 0; b < bands; ++b) {
+                fired += k::conv_functional_rows(spec, w, csr, bmem, bs,
+                                                 oh * b / bands,
+                                                 oh * (b + 1) / bands);
+              }
+              EXPECT_EQ(bs.currents.v, cur.v) << bands << " bands";
+              EXPECT_EQ(bs.run.out_spikes.v, expect.v) << bands << " bands";
+              EXPECT_EQ(bmem.v, ref_mem.v) << bands << " bands";
+              EXPECT_EQ(fired, snn::spike_count(expect)) << bands << " bands";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -173,6 +232,50 @@ TEST(FcKernel, MatchesReference) {
     snn::Tensor mem(1, 1, 32);
     const auto run = k::run_fc_layer(spec, w, csr, mem, opt);
     EXPECT_EQ(run.out_spikes.v, expect.v) << k::variant_name(variant);
+  }
+}
+
+TEST(FcKernel, SixteenBitChannelBoundary) {
+  // CsrIfmap accepts 65536 channels; the last FC band and the last fan-in
+  // shard then end at 65536, one past the 16-bit channel indices.
+  snn::LayerSpec spec;
+  spec.kind = snn::LayerKind::kFc;
+  spec.name = "fc_wide";
+  spec.in_c = 65536;
+  spec.out_c = 16;
+  const auto w = make_weights(spec, 31);
+  snn::SpikeMap in(1, 1, spec.in_c);
+  for (const int c : {0, 7, 32767, 32768, 65000, 65535}) in.at(0, 0, c) = 1;
+  const auto csr = spikestream::compress::CsrIfmap::encode(in);
+
+  const snn::Tensor cur = snn::Reference::fc_currents(in, w);
+  k::KernelScratch serial;
+  snn::Tensor mem(1, 1, spec.out_c);
+  k::fc_functional(spec, w, csr, mem, serial);
+  EXPECT_EQ(serial.currents.v, cur.v);
+
+  std::vector<k::LayerScratch> scratch(2);
+  std::vector<snn::Tensor> mems(2, snn::Tensor(1, 1, spec.out_c));
+  std::vector<k::FcBatchLane> lanes;
+  for (std::size_t i = 0; i < 2; ++i) {
+    lanes.push_back({&csr, &mems[i], &scratch[i]});
+  }
+  k::fc_functional_batch(spec, w, lanes);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(scratch[i].main.currents.v, cur.v) << "lane " << i;
+    EXPECT_EQ(mems[i].v, mem.v) << "lane " << i;
+  }
+
+  // Fan-in shards: each counts exactly the spikes of its channel band.
+  k::RunOptions opt;
+  const double groups = spec.out_c / sc::simd_lanes(opt.fmt);
+  for (const auto& [c_lo, c_hi, spikes] :
+       {std::tuple{0, 32768, 3}, std::tuple{32768, 65536, 3},
+        std::tuple{0, 65536, 6}}) {
+    k::KernelScratch ks;
+    k::fc_fanin_shard_timing(spec, csr, c_lo, c_hi, opt, ks);
+    EXPECT_NEAR(ks.run.stats.fpu_ops, spikes * groups, 1e-9)
+        << "[" << c_lo << ", " << c_hi << ")";
   }
 }
 

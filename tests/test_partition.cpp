@@ -21,6 +21,7 @@
 
 #include "arch/noc.hpp"
 #include "common/rng.hpp"
+#include "compress/csr_ifmap.hpp"
 #include "kernels/partition.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/stage_pipeline.hpp"
@@ -35,6 +36,7 @@ namespace rt = spikestream::runtime;
 namespace k = spikestream::kernels;
 namespace snn = spikestream::snn;
 namespace sc = spikestream::common;
+namespace compress = spikestream::compress;
 
 namespace {
 
@@ -270,6 +272,127 @@ TEST(PartitionConservation, FanInReductionIsItemizedExactly) {
   const double fp_bytes = sc::fp_bytes(opt.fmt);
   EXPECT_NEAR(s.noc_bytes, 2.0 * (n - 1) * net.layer(l).out_c * fp_bytes,
               1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Window pricing equals pricing a sliced sub-layer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Channels [lo, hi) of `t` as a standalone map.
+snn::SpikeMap slice_channels(const snn::SpikeMap& t, int lo, int hi) {
+  snn::SpikeMap out(t.h, t.w, hi - lo);
+  for (int y = 0; y < t.h; ++y) {
+    for (int x = 0; x < t.w; ++x) {
+      for (int c = lo; c < hi; ++c) out.at(y, x, c - lo) = t.at(y, x, c);
+    }
+  }
+  return out;
+}
+
+/// Rows [lo, hi) of `t` as a standalone map.
+snn::SpikeMap slice_rows(const snn::SpikeMap& t, int lo, int hi) {
+  snn::SpikeMap out(hi - lo, t.w, t.c);
+  for (int y = lo; y < hi; ++y) {
+    for (int x = 0; x < t.w; ++x) {
+      for (int c = 0; c < t.c; ++c) out.at(y - lo, x, c) = t.at(y, x, c);
+    }
+  }
+  return out;
+}
+
+void expect_stats_eq(const k::KernelStats& a, const k::KernelStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_EQ(a.dma_cycles, b.dma_cycles);
+  EXPECT_EQ(a.fpu_ops, b.fpu_ops);
+  EXPECT_EQ(a.fpu_mac_ops, b.fpu_mac_ops);
+  EXPECT_EQ(a.int_instrs, b.int_instrs);
+  EXPECT_EQ(a.tcdm_words, b.tcdm_words);
+  EXPECT_EQ(a.ssr_elems, b.ssr_elems);
+  EXPECT_EQ(a.dma_bytes, b.dma_bytes);
+  EXPECT_EQ(a.dma_saved_bytes, b.dma_saved_bytes);
+  EXPECT_EQ(a.dma_bytes_spill, b.dma_bytes_spill);
+  EXPECT_EQ(a.noc_bytes, b.noc_bytes);
+  EXPECT_EQ(a.dma_row_hits, b.dma_row_hits);
+  EXPECT_EQ(a.dma_row_misses, b.dma_row_misses);
+  EXPECT_EQ(a.dma_cycles_hidden, b.dma_cycles_hidden);
+  EXPECT_EQ(a.noc_contention_cycles, b.noc_contention_cycles);
+  EXPECT_EQ(a.fifo_stall_cycles, b.fifo_stall_cycles);
+  EXPECT_EQ(a.ecc_words, b.ecc_words);
+  EXPECT_EQ(a.ecc_cycles, b.ecc_cycles);
+  EXPECT_EQ(a.active_cores, b.active_cores);
+  EXPECT_EQ(a.core_cycles, b.core_cycles);
+}
+
+}  // namespace
+
+TEST(PartitionPricing, WindowsMatchSlicedSubLayerTiming) {
+  // Each cluster prices its window of the layer in place. That must give
+  // exactly what timing its sub-layer on copied slices gives: the channel
+  // range (out_c = extent, whole input) or the row stripe (in_h = extent +
+  // k - 1 over the halo'd CSR rows), with the slice of the output spikes.
+  const snn::Network net = test_net();
+  k::RunOptions opt;
+  opt.cost.dram = spikestream::arch::DramConfig::banked();
+  const auto img = snn::make_batch(1, 6, 16, 16, 3)[0];
+  int windows = 0;
+  for (const auto strategy : {k::PartitionStrategy::kOutputChannel,
+                              k::PartitionStrategy::kIfmapStripe}) {
+    const rt::InferenceEngine engine(net, opt,
+                                     sharded_cfg(strategy, 4, false));
+    const auto* be = dynamic_cast<const rt::ShardedBackend*>(&engine.backend());
+    ASSERT_NE(be, nullptr);
+    snn::NetworkState state = engine.make_state();
+    for (int t = 0; t < 3; ++t) engine.run(img, state);
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      const snn::LayerSpec& spec = net.layer(l);
+      const k::LayerPlan& plan = be->plan_for(spec);
+      if (plan.n() <= 1 || plan.axis == k::ShardAxis::kFanIn) continue;
+      const k::LayerScratch& ls = state.scratch(l);
+      const snn::SpikeMap& out = ls.main.run.out_spikes;
+      const bool stripes = plan.axis == k::ShardAxis::kIfmapStripe;
+      for (std::size_t s = 0; s < plan.n(); ++s) {
+        const k::ShardRange r = plan.shards[s];
+        SCOPED_TRACE(::testing::Message()
+                     << k::partition_strategy_name(strategy) << " layer "
+                     << spec.name << " shard " << s);
+        snn::LayerSpec sub = spec;
+        k::KernelScratch ref;
+        compress::CsrIfmap csr = ls.csr;
+        if (stripes) {
+          sub.in_h = r.extent() + spec.k - 1;
+          ref.run.out_spikes = slice_rows(out, r.lo, r.hi);
+          if (spec.kind == snn::LayerKind::kConv) {
+            csr = compress::CsrIfmap::encode(
+                slice_rows(ls.csr.decode(), r.lo, r.lo + sub.in_h));
+          }
+        } else {
+          sub.out_c = r.extent();
+          ref.run.out_spikes = slice_channels(out, r.lo, r.hi);
+        }
+        ref.run.out_nnz = snn::spike_count(ref.run.out_spikes);
+        switch (spec.kind) {
+          case snn::LayerKind::kEncodeConv:
+            k::encode_timing(sub, opt, ref);
+            break;
+          case snn::LayerKind::kConv:
+            k::conv_timing(sub, csr, opt, ref);
+            break;
+          case snn::LayerKind::kFc:
+            k::fc_timing(sub, csr, opt, ref);
+            break;
+        }
+        const k::LayerRun& got = ls.lanes[s].run;
+        EXPECT_EQ(got.out_nnz, ref.run.out_nnz);
+        expect_stats_eq(got.stats, ref.run.stats);
+        ++windows;
+      }
+    }
+  }
+  // Channel tiles on encode, conv and FC; stripes on encode and conv.
+  EXPECT_GE(windows, 5 * 2);
 }
 
 // ---------------------------------------------------------------------------

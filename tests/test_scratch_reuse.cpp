@@ -194,7 +194,7 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsCycleAccurate) {
 TEST(ScratchReuse, ZeroSteadyStateAllocationsPooledSharded) {
   // The persistent worker pool extends the zero-allocation contract to the
   // threaded sharded mode: shard fan-out submits stack jobs onto pre-created
-  // threads and every per-shard buffer lives in a plan-presized ShardLane.
+  // threads and every per-shard buffer lives in a plan-presized lane.
   // The hybrid strategy routes this net through all three shard axes; a
   // zero minimum-work cutoff also splits every conv/encode functional pass
   // into host row bands on the pool.
@@ -377,6 +377,43 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsHybridSharded) {
   const std::size_t after = spikestream::alloc_hook::allocs();
   EXPECT_EQ(after - before, 0u)
       << "hybrid sharded steady state must not touch the heap";
+}
+
+TEST(ScratchReuse, ZeroSteadyStateAllocationsTowerHybrid) {
+  // The benchmark's deep-tower configuration: 8 clusters, hybrid partition
+  // under planner-chosen pipeline stages, ring-quadrant NoC with contention,
+  // banked DRAM, shards priced serially on the host. Conv layers build their
+  // row-offset index and stream profile in the layer's own scratch; the
+  // per-cluster windows price into the presized lanes.
+  snn::Network net = snn::Network::make_deep_tower();
+  sc::Rng rng(1);
+  net.init_weights(rng);
+  snn::calibrate_thresholds(net, snn::make_batch(4, 18, 6, 6, 3),
+                            snn::deep_tower_target_rates());
+  const auto img = snn::make_batch(1, 3, 6, 6, 3)[0];
+  k::RunOptions opt;
+  opt.cost.dram = spikestream::arch::DramConfig::banked();
+  rt::BackendConfig cfg;
+  cfg.kind = rt::BackendKind::kSharded;
+  cfg.clusters = 8;
+  cfg.shard_threads = false;
+  cfg.partition = spikestream::kernels::PartitionStrategy::kHybrid;
+  cfg.noc.topology = spikestream::arch::NocTopology::kRingQuadrant;
+  cfg.noc.model_contention = true;
+  cfg.pipeline.enabled = true;
+  cfg.pipeline.mode = spikestream::kernels::ExecMode::kAuto;
+  const rt::InferenceEngine engine(net, opt, cfg);
+  const auto* sb = dynamic_cast<const rt::ShardedBackend*>(&engine.backend());
+  ASSERT_NE(sb, nullptr);
+  ASSERT_TRUE(sb->stage_parallel_active());
+  snn::NetworkState state = engine.make_state();
+  rt::InferenceResult res;
+  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
+  const std::size_t before = spikestream::alloc_hook::allocs();
+  for (int t = 0; t < 5; ++t) engine.run(img, state, res);
+  const std::size_t after = spikestream::alloc_hook::allocs();
+  EXPECT_EQ(after - before, 0u)
+      << "tower hybrid steady state must not touch the heap";
 }
 
 /// Server-loop allocation guard, parameterized on the integrity switches:
