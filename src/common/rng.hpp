@@ -46,8 +46,17 @@ class Rng {
   /// Uniform integer in [0, n).
   std::uint64_t uniform_u64(std::uint64_t n) { return next_u64() % n; }
 
-  /// Standard normal via Box-Muller (no cached second value: determinism
-  /// beats the factor-2 saving here).
+  /// Advance the stream by `n` draws (the state `n` next_u64() calls leave).
+  void discard(std::uint64_t n) {
+    for (; n > 0; --n) next_u64();
+  }
+
+  /// Standard normal via Box-Muller, consuming exactly two draws. The second
+  /// Box-Muller value is not cached: caching it would halve the draws and so
+  /// change every value after the first, and every pinned weight, spike and
+  /// cycle count derives from this stream. The fixed two-draw cost is also
+  /// what lets Network::init_weights find any weight's stream position by
+  /// stepping (discard(2 * index)) and fill chunks in parallel.
   double normal() {
     double u1 = uniform();
     double u2 = uniform();

@@ -1,19 +1,33 @@
-#include "runtime/worker_pool.hpp"
+#include "common/worker_pool.hpp"
 
 #include <algorithm>
 
-namespace spikestream::runtime {
+namespace spikestream::common {
+
+namespace {
+
+/// hardware_concurrency() (at least 1), read once: each read is a system
+/// call, and set-up builds a pool per call even where it starts no thread.
+int hardware_threads() {
+  static const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return hw;
+}
+
+}  // namespace
 
 int WorkerPool::clamp_to_hardware(int requested) {
-  const int hw =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  return std::clamp(requested, 1, hw);
+  return std::clamp(requested, 1, hardware_threads());
+}
+
+int WorkerPool::threads_for(std::size_t work, std::size_t min_per_executor) {
+  const std::size_t executors = std::min<std::size_t>(
+      work / std::max<std::size_t>(min_per_executor, 1), 1u << 16);
+  return clamp_to_hardware(static_cast<int>(executors)) - 1;
 }
 
 WorkerPool::WorkerPool(int threads) {
-  const int n = std::clamp(
-      threads, 0,
-      std::max(0, static_cast<int>(std::thread::hardware_concurrency()) - 1));
+  const int n = std::clamp(threads, 0, hardware_threads() - 1);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -117,4 +131,4 @@ void WorkerPool::parallel_for(
   if (job.error) std::rethrow_exception(job.error);
 }
 
-}  // namespace spikestream::runtime
+}  // namespace spikestream::common

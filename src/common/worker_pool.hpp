@@ -1,9 +1,12 @@
-// Persistent worker pool: the one thread-spawn point of the runtime. The
-// sharded backend (per-layer shard fan-out) and the batch runner (per-sample
-// fan-out) used to each create std::thread workers per call — per *layer* in
-// the sharded case, which broke the zero-allocation contract and paid thread
-// start-up latency on the hottest path. The pool creates its threads once
-// and hands out work through a lock-guarded intrusive job list:
+// Worker pool: the one thread-spawn point of the project. The runtime keeps
+// a persistent pool — the sharded backend (per-layer shard fan-out) and the
+// batch runner (per-sample fan-out) used to each create std::thread workers
+// per call, per *layer* in the sharded case, which broke the zero-allocation
+// contract and paid thread start-up latency on the hottest path. Network
+// set-up (weight init, threshold calibration, FP16 weight packing) builds a
+// short-lived pool sized by threads_for() and joins it before returning. The
+// pool creates its threads once and hands out work through a lock-guarded
+// intrusive job list:
 //
 //  * submitting a job allocates nothing — the Job lives on the submitter's
 //    stack and the callable is a non-owning FunctionRef;
@@ -31,7 +34,7 @@
 
 #include "common/function_ref.hpp"
 
-namespace spikestream::runtime {
+namespace spikestream::common {
 
 class WorkerPool {
  public:
@@ -60,6 +63,11 @@ class WorkerPool {
 
   /// `requested` clamped to [1, hardware_concurrency()].
   static int clamp_to_hardware(int requested);
+
+  /// Workers worth starting for `work` units when each executor should get
+  /// at least `min_per_executor` of them: 0 (the serial loop) below twice
+  /// that, at most hardware_concurrency() - 1.
+  static int threads_for(std::size_t work, std::size_t min_per_executor);
 
  private:
   struct Job {
@@ -94,4 +102,4 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace spikestream::runtime
+}  // namespace spikestream::common

@@ -97,7 +97,7 @@ const kernels::LayerRun& AnalyticalBackend::run_encode(
 
 std::unique_ptr<ExecutionBackend> make_backend(
     const kernels::RunOptions& opt, const BackendConfig& cfg,
-    std::shared_ptr<WorkerPool> pool) {
+    std::shared_ptr<common::WorkerPool> pool) {
   switch (cfg.kind) {
     case BackendKind::kAnalytical:
       return std::make_unique<AnalyticalBackend>(opt);

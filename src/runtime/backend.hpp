@@ -35,9 +35,12 @@ namespace spikestream::snn {
 class NetworkState;
 }
 
+namespace spikestream::common {
+class WorkerPool;
+}  // namespace spikestream::common
+
 namespace spikestream::runtime {
 
-class WorkerPool;
 
 enum class BackendKind {
   kAnalytical,     ///< mechanistic cost model (default, fastest)
@@ -241,6 +244,6 @@ class AnalyticalBackend : public ExecutionBackend {
 /// own. Non-sharded backends ignore it.
 std::unique_ptr<ExecutionBackend> make_backend(
     const kernels::RunOptions& opt, const BackendConfig& cfg = {},
-    std::shared_ptr<WorkerPool> pool = nullptr);
+    std::shared_ptr<common::WorkerPool> pool = nullptr);
 
 }  // namespace spikestream::runtime

@@ -11,7 +11,7 @@ namespace spikestream::runtime {
 
 ShardedBackend::ShardedBackend(const kernels::RunOptions& opt,
                                const BackendConfig& cfg,
-                               std::shared_ptr<WorkerPool> pool)
+                               std::shared_ptr<common::WorkerPool> pool)
     : ExecutionBackend(opt),
       clusters_(std::max(1, cfg.clusters)),
       threads_(cfg.shard_threads),
@@ -25,7 +25,7 @@ ShardedBackend::ShardedBackend(const kernels::RunOptions& opt,
                                 << arch::NocModel::kMaxClusters
                                 << "-cluster NoC model");
   if (threads_ && pool_ == nullptr) {
-    pool_ = std::make_shared<WorkerPool>(clusters_ - 1);
+    pool_ = std::make_shared<common::WorkerPool>(clusters_ - 1);
   }
   active_clusters_.store(clusters_, std::memory_order_relaxed);
   for (auto& s : slowdown_) s.store(1.0, std::memory_order_relaxed);

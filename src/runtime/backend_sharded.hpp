@@ -44,9 +44,9 @@
 
 #include "arch/noc.hpp"
 #include "common/function_ref.hpp"
+#include "common/worker_pool.hpp"
 #include "kernels/partition.hpp"
 #include "runtime/backend.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace spikestream::runtime {
 
@@ -59,7 +59,7 @@ class ShardedBackend : public ExecutionBackend {
   /// fan-out and batch-sample fan-out. Throws when cfg.clusters exceeds
   /// arch::NocModel::kMaxClusters (the per-cluster fault and link state).
   ShardedBackend(const kernels::RunOptions& opt, const BackendConfig& cfg,
-                 std::shared_ptr<WorkerPool> pool = nullptr);
+                 std::shared_ptr<common::WorkerPool> pool = nullptr);
 
   const char* name() const override { return "sharded"; }
   int num_clusters() const override { return clusters_; }
@@ -279,7 +279,7 @@ class ShardedBackend : public ExecutionBackend {
   /// readers hold only the shared lock.
   mutable kernels::StagePlan stage_plan_;
   mutable std::map<std::uint64_t, StageInfo> stage_info_;
-  std::shared_ptr<WorkerPool> pool_;
+  std::shared_ptr<common::WorkerPool> pool_;
   /// Reader-writer lock: after prepare() the plan cache is read-only on the
   /// hot path (one shared acquisition per layer dispatch); the exclusive
   /// side only runs for specs never planned before — or for a fail-stop

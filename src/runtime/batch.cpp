@@ -4,7 +4,7 @@
 #include <span>
 #include <thread>
 
-#include "runtime/worker_pool.hpp"
+#include "common/worker_pool.hpp"
 
 namespace spikestream::runtime {
 
@@ -13,7 +13,7 @@ BatchRunner::BatchRunner(const snn::Network& net,
                          const BackendConfig& backend,
                          const arch::EnergyParams& energy, int workers)
     : engine_(net, opt, backend, energy),
-      workers_(WorkerPool::clamp_to_hardware(
+      workers_(common::WorkerPool::clamp_to_hardware(
           workers > 0
               ? workers
               : static_cast<int>(std::thread::hardware_concurrency()))),
@@ -22,7 +22,7 @@ BatchRunner::BatchRunner(const snn::Network& net,
   // workers can no longer oversubscribe the host whatever the backend; when
   // the engine's backend never threads, the runner brings its own pool.
   if (pool_ == nullptr && workers_ > 1) {
-    pool_ = std::make_shared<WorkerPool>(workers_ - 1);
+    pool_ = std::make_shared<common::WorkerPool>(workers_ - 1);
   }
 }
 

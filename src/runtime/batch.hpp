@@ -33,9 +33,12 @@
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
 
+namespace spikestream::common {
+class WorkerPool;
+}  // namespace spikestream::common
+
 namespace spikestream::runtime {
 
-class WorkerPool;
 
 class BatchRunner {
  public:
@@ -90,7 +93,7 @@ class BatchRunner {
 
   InferenceEngine engine_;
   int workers_;
-  std::shared_ptr<WorkerPool> pool_;
+  std::shared_ptr<common::WorkerPool> pool_;
 };
 
 }  // namespace spikestream::runtime

@@ -3,9 +3,9 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/worker_pool.hpp"
 #include "compress/aer.hpp"
 #include "compress/csr_ifmap.hpp"
-#include "runtime/worker_pool.hpp"
 #include "snn/reference.hpp"
 
 namespace spikestream::runtime {
@@ -16,9 +16,9 @@ namespace {
 /// on top) fans out on — one clamped set of threads for both the per-layer
 /// shard level and the per-sample batch level, so the two can never
 /// oversubscribe the host. Backends that never thread get no pool.
-std::shared_ptr<WorkerPool> pool_for(const BackendConfig& cfg) {
+std::shared_ptr<common::WorkerPool> pool_for(const BackendConfig& cfg) {
   if (cfg.kind == BackendKind::kSharded && cfg.shard_threads) {
-    return std::make_shared<WorkerPool>(
+    return std::make_shared<common::WorkerPool>(
         static_cast<int>(std::thread::hardware_concurrency()) - 1);
   }
   return nullptr;
@@ -198,7 +198,7 @@ const snn::SpikeMap* InferenceEngine::run_layer(std::size_t l,
 
 void InferenceEngine::run_layer_batch(std::size_t l,
                                       std::span<BatchLane> lanes,
-                                      WorkerPool* pool) const {
+                                      common::WorkerPool* pool) const {
   const snn::LayerSpec& spec = net_.layer(l);
   const bool batched_fc = spec.kind == snn::LayerKind::kFc &&
                           lanes.size() > 1 &&
@@ -240,7 +240,7 @@ void InferenceEngine::run_layer_batch(std::size_t l,
 }
 
 void InferenceEngine::run_wave(std::span<BatchLane> lanes, int timesteps,
-                               WorkerPool* pool,
+                               common::WorkerPool* pool,
                                common::FunctionRef<void(int t)> step_done,
                                const WaveHooks* hooks) const {
   for (BatchLane& lane : lanes) lane.state->clear();

@@ -130,7 +130,7 @@ class InferenceEngine {
   /// contract run_layer documents). Results are bit-identical to calling
   /// run_layer per lane in order, including modeled stats.
   void run_layer_batch(std::size_t l, std::span<BatchLane> lanes,
-                       WorkerPool* pool = nullptr) const;
+                       common::WorkerPool* pool = nullptr) const;
 
   /// Per-layer observers of a lockstep wave (see run_wave).
   struct WaveHooks {
@@ -148,7 +148,8 @@ class InferenceEngine {
   /// on the calling thread with no pool work in flight: they may touch any
   /// lane, and one that throws leaves nothing running. Lanes are image-fed
   /// (carry starts null every timestep).
-  void run_wave(std::span<BatchLane> lanes, int timesteps, WorkerPool* pool,
+  void run_wave(std::span<BatchLane> lanes, int timesteps,
+                common::WorkerPool* pool,
                 common::FunctionRef<void(int t)> step_done,
                 const WaveHooks* hooks = nullptr) const;
 
@@ -186,7 +187,9 @@ class InferenceEngine {
   /// The persistent worker pool this engine's backend fans out on (null for
   /// backends that never thread). BatchRunner reuses it so batch-sample and
   /// shard fan-out share one clamped set of threads.
-  const std::shared_ptr<WorkerPool>& worker_pool() const { return pool_; }
+  const std::shared_ptr<common::WorkerPool>& worker_pool() const {
+    return pool_;
+  }
 
  private:
   /// Shared constructor tail: quantize weights, let the backend prepare its
@@ -210,7 +213,8 @@ class InferenceEngine {
                                     InferenceResult& out) const;
 
   snn::Network net_;
-  std::shared_ptr<WorkerPool> pool_;  ///< created before the backend using it
+  /// Created before the backend using it.
+  std::shared_ptr<common::WorkerPool> pool_;
   std::shared_ptr<ExecutionBackend> backend_;
   arch::EnergyParams energy_;
   snn::NetworkState state_;  ///< backing store for the stateful API

@@ -6,8 +6,8 @@
 #include <string>
 #include <thread>
 
+#include "common/worker_pool.hpp"
 #include "runtime/backend_sharded.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace spikestream::runtime {
 
@@ -56,7 +56,7 @@ InferenceServer::InferenceServer(const snn::Network& net,
   const int hw =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   if (pool_ == nullptr && hw > 1) {
-    pool_ = std::make_shared<WorkerPool>(hw - 1);
+    pool_ = std::make_shared<common::WorkerPool>(hw - 1);
   }
 
   // Every wave-sized buffer is allocated here, once: the dispatcher loop
@@ -369,7 +369,7 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   // retried wave re-runs from timestep 0 allocation-free and lands
   // bit-identical to a clean run. Both passes chain every timestep's final
   // output into their lanes' completion seals for the redundancy compare.
-  WorkerPool* pool = pool_.get();
+  common::WorkerPool* pool = pool_.get();
   const auto bind_lanes = [&](LaneSet& set) {
     for (std::size_t i = 0; i < wn; ++i) {
       set.lanes[i] = {wave_[i]->image, nullptr, &set.states[i], &set.steps[i]};

@@ -104,9 +104,12 @@
 #include "runtime/integrity.hpp"
 #include "runtime/multistep.hpp"
 
+namespace spikestream::common {
+class WorkerPool;
+}  // namespace spikestream::common
+
 namespace spikestream::runtime {
 
-class WorkerPool;
 class ShardedBackend;
 
 /// Bounded lock-free multi-producer single-consumer ring (Vyukov
@@ -404,7 +407,7 @@ class InferenceServer {
   ServerConfig cfg_;
   int max_lanes_ = 1;
   std::int64_t delay_ns_ = 0;
-  std::shared_ptr<WorkerPool> pool_;
+  std::shared_ptr<common::WorkerPool> pool_;
   /// Non-null when the backend is sharded: the target for structural fault
   /// injection and the source of degraded-mode telemetry.
   const ShardedBackend* sharded_ = nullptr;

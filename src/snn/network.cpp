@@ -1,10 +1,12 @@
 #include "snn/network.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/check.hpp"
 #include "common/simd.hpp"
+#include "common/worker_pool.hpp"
 
 namespace spikestream::snn {
 
@@ -21,57 +23,152 @@ void Network::add_layer(const LayerSpec& spec) {
   weights_.push_back(std::move(w));
 }
 
-void Network::init_weights(common::Rng& rng) {
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const double fan_in = static_cast<double>(layers_[l].fan_in());
-    const double stddev = std::sqrt(2.0 / fan_in);
-    for (float& x : weights_[l].v) {
-      x = static_cast<float>(rng.normal(0.0, stddev));
-    }
-  }
-}
-
 namespace {
+
+/// Weights per init chunk. Chunks never straddle a layer, so each has one
+/// stddev; one task replays one chunk of the Rng stream.
+constexpr std::size_t kInitChunk = std::size_t{1} << 16;
 
 /// Weights per pack block: small enough that a block narrowed in place is
 /// still in L1 when the exactness pass re-reads it, so quantize-and-pack
 /// streams each layer through memory once.
 constexpr std::size_t kPackBlock = 2048;
 
-/// Fills `w.half` block by block from `w.v`; the pack's round-trip flag is
-/// the exactness check. With `narrow_first`, each block of `w.v` is first
-/// rounded to binary16 in place (the FP16 quantize) and every block is
-/// processed; otherwise packing stops at the first block that does not
-/// round-trip, so an FP32 layer touches little of `half`.
-void pack_half_blocks(LayerWeights& w, bool narrow_first) {
-  w.half.clear();
-  w.half.reserve(w.v.size());
+/// Weights per FP16 pack task (a whole number of blocks).
+constexpr std::size_t kPackRange = 16 * kPackBlock;
+
+/// Set-up fans out only when every executor gets at least this many weights,
+/// so small networks (the deep tower: ~10 k weights) stay on the calling
+/// thread and start no worker.
+constexpr std::size_t kWeightsPerExecutor = std::size_t{1} << 18;
+
+/// [lo, hi) of one layer's weights: the task unit of the set-up fan-outs.
+struct WeightRange {
+  std::size_t layer, lo, hi;
+};
+
+/// Every layer cut into ranges of at most `len` weights, in weight order.
+std::vector<WeightRange> split_layers(const std::vector<LayerWeights>& ws,
+                                      std::size_t len) {
+  std::vector<WeightRange> out;
+  for (std::size_t l = 0; l < ws.size(); ++l) {
+    const std::size_t n = ws[l].v.size();
+    for (std::size_t lo = 0; lo < n; lo += len) {
+      out.push_back({l, lo, std::min(lo + len, n)});
+    }
+  }
+  return out;
+}
+
+/// Rounds w.v[lo, hi) to binary16 in place and packs it into w.half (already
+/// sized), block by block; returns whether every packed value round-trips.
+bool narrow_and_pack(LayerWeights& w, std::size_t lo, std::size_t hi) {
   bool exact = true;
-  for (std::size_t lo = 0; lo < w.v.size() && (exact || narrow_first);
-       lo += kPackBlock) {
-    const std::size_t len = std::min(kPackBlock, w.v.size() - lo);
-    w.half.resize(lo + len);
-    float* v = w.v.data() + lo;
-    std::uint16_t* h = w.half.data() + lo;
-    if (narrow_first) common::simd::pack_half(v, h, v, len);
+  for (std::size_t b = lo; b < hi; b += kPackBlock) {
+    const std::size_t len = std::min(kPackBlock, hi - b);
+    float* v = w.v.data() + b;
+    std::uint16_t* h = w.half.data() + b;
+    common::simd::pack_half(v, h, v, len);
     exact = common::simd::pack_half(v, h, nullptr, len) && exact;
   }
-  w.half_exact = exact;
-  if (!exact) w.half.clear();
+  return exact;
 }
 
 }  // namespace
 
-void LayerWeights::build_half() { pack_half_blocks(*this, false); }
+std::size_t Network::num_weights() const {
+  std::size_t n = 0;
+  for (const LayerWeights& w : weights_) n += w.v.size();
+  return n;
+}
+
+// Bit-identical to the serial loop `x = rng.normal(0, stddev)` over every
+// weight in order. normal() consumes exactly two draws, so task 0 steps the
+// stream once (cheap: no Box-Muller), recording the state at each chunk
+// start, while tasks 1..n replay chunk c from its recorded state as soon as
+// it is published. Tasks are claimed in index order, so the stepper is
+// running before any replay waits on it, and a zero-thread pool runs it to
+// the end first. The stepper leaves `rng` where the serial loop would.
+void Network::init_weights(common::Rng& rng) {
+  const std::vector<WeightRange> chunks = split_layers(weights_, kInitChunk);
+  std::vector<common::Rng> starts(chunks.size(), rng);
+  std::atomic<std::size_t> published{0};
+  common::WorkerPool pool(
+      common::WorkerPool::threads_for(num_weights(), kWeightsPerExecutor));
+  auto task = [&](std::size_t, std::size_t t) {
+    if (t == 0) {
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
+        starts[c] = rng;
+        published.store(c + 1, std::memory_order_release);
+        published.notify_all();
+        rng.discard(2 * (chunks[c].hi - chunks[c].lo));
+      }
+      return;
+    }
+    const std::size_t c = t - 1;
+    for (std::size_t p = published.load(std::memory_order_acquire); p <= c;
+         p = published.load(std::memory_order_acquire)) {
+      published.wait(p, std::memory_order_acquire);
+    }
+    common::Rng r = starts[c];
+    const WeightRange& ch = chunks[c];
+    const double stddev =
+        std::sqrt(2.0 / static_cast<double>(layers_[ch.layer].fan_in()));
+    float* v = weights_[ch.layer].v.data();
+    for (std::size_t i = ch.lo; i < ch.hi; ++i) {
+      v[i] = static_cast<float>(r.normal(0.0, stddev));
+    }
+  };
+  pool.parallel_for(chunks.size() + 1,
+                    static_cast<std::size_t>(pool.slots()), task);
+}
+
+// Packing stops at the first block that does not round-trip, so an FP32
+// layer touches little of `half`.
+void LayerWeights::build_half() {
+  half.clear();
+  half.reserve(v.size());
+  bool exact = true;
+  for (std::size_t lo = 0; lo < v.size() && exact; lo += kPackBlock) {
+    const std::size_t len = std::min(kPackBlock, v.size() - lo);
+    half.resize(lo + len);
+    exact = common::simd::pack_half(v.data() + lo, half.data() + lo, nullptr,
+                                    len);
+  }
+  half_exact = exact;
+  if (!exact) half.clear();
+}
 
 void Network::quantize_weights(common::FpFormat fmt) {
-  for (auto& w : weights_) {
-    if (fmt == common::FpFormat::FP16) {
-      pack_half_blocks(w, true);
-      continue;
+  if (fmt != common::FpFormat::FP16) {
+    for (auto& w : weights_) {
+      for (float& x : w.v) x = common::quantize(x, fmt);
+      w.build_half();
     }
-    for (float& x : w.v) x = common::quantize(x, fmt);
-    w.build_half();
+    return;
+  }
+  // FP16 narrows and packs every block, so layers split into ranges that
+  // run concurrently; `half` is sized here, on the calling thread, and each
+  // layer's exactness is the AND of its ranges' flags.
+  const std::vector<WeightRange> ranges = split_layers(weights_, kPackRange);
+  for (LayerWeights& w : weights_) {
+    w.half.resize(w.v.size());
+    w.half_exact = true;
+  }
+  std::vector<char> exact(ranges.size(), 1);
+  common::WorkerPool pool(
+      common::WorkerPool::threads_for(num_weights(), kWeightsPerExecutor));
+  auto task = [&](std::size_t, std::size_t r) {
+    exact[r] = narrow_and_pack(weights_[ranges[r].layer], ranges[r].lo,
+                               ranges[r].hi);
+  };
+  pool.parallel_for(ranges.size(), static_cast<std::size_t>(pool.slots()),
+                    task);
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    if (!exact[r]) weights_[ranges[r].layer].half_exact = false;
+  }
+  for (LayerWeights& w : weights_) {
+    if (!w.half_exact) w.half.clear();
   }
 }
 

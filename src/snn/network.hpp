@@ -80,18 +80,24 @@ class Network {
   void add_layer(const LayerSpec& spec);
 
   std::size_t num_layers() const { return layers_.size(); }
+  /// Weights over all layers.
+  std::size_t num_weights() const;
   const LayerSpec& layer(std::size_t i) const { return layers_[i]; }
   LayerSpec& layer(std::size_t i) { return layers_[i]; }
   const LayerWeights& weights(std::size_t i) const { return weights_[i]; }
   LayerWeights& weights(std::size_t i) { return weights_[i]; }
 
-  /// He-initialize all weights (deterministic given the seed).
+  /// He-initialize all weights: bit-identical to drawing
+  /// rng.normal(0, sqrt(2 / fan_in)) for every weight in order, and leaves
+  /// `rng` in the same state, however many threads large networks fan out
+  /// on.
   void init_weights(common::Rng& rng);
 
   /// Round every weight to the given storage format (Section III-C batches
   /// them in SIMD words of this format) and build each layer's `half`. FP16
-  /// rounds and packs in one vectorized pass per layer (common::simd::
-  /// pack_half); FP8 rounds element by element, then packs.
+  /// rounds and packs in one vectorized pass (common::simd::pack_half) over
+  /// block ranges that large networks fan out on; FP8 rounds element by
+  /// element, then packs.
   void quantize_weights(common::FpFormat fmt);
 
   /// The paper's S-VGG11 adapted to CIFAR10 (Fig. 3a shapes; DESIGN.md §5).

@@ -1,5 +1,7 @@
 #include "snn/reference.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace spikestream::snn {
@@ -18,9 +20,17 @@ void Reference::reset() {
 }
 
 Tensor Reference::conv_currents(const SpikeMap& in, const LayerWeights& w) {
+  Tensor out;
+  conv_currents_into(in, w, out);
+  return out;
+}
+
+void Reference::conv_currents_into(const SpikeMap& in, const LayerWeights& w,
+                                   Tensor& out) {
   const int k = w.k;
   const int out_c = w.out_c;
-  Tensor out(in.h - k + 1, in.w - k + 1, out_c);
+  out.reshape(in.h - k + 1, in.w - k + 1, out_c);
+  std::fill(out.v.begin(), out.v.end(), 0.0f);
   const float* wbase = w.v.data();
   for (int oy = 0; oy < out.h; ++oy) {
     for (int ox = 0; ox < out.w; ++ox) {
@@ -41,7 +51,6 @@ Tensor Reference::conv_currents(const SpikeMap& in, const LayerWeights& w) {
       }
     }
   }
-  return out;
 }
 
 Tensor Reference::conv_currents_dense(const Tensor& in, const LayerWeights& w) {
@@ -89,15 +98,22 @@ void Reference::conv_currents_dense_rows(const Tensor& in,
 }
 
 Tensor Reference::fc_currents(const SpikeMap& in, const LayerWeights& w) {
+  Tensor out;
+  fc_currents_into(in, w, out);
+  return out;
+}
+
+void Reference::fc_currents_into(const SpikeMap& in, const LayerWeights& w,
+                                 Tensor& out) {
   SPK_CHECK(static_cast<int>(in.size()) == w.in_c,
             "FC input size mismatch: " << in.size() << " vs " << w.in_c);
-  Tensor out(1, 1, w.out_c);
+  out.reshape(1, 1, w.out_c);
+  std::fill(out.v.begin(), out.v.end(), 0.0f);
   for (int ci = 0; ci < w.in_c; ++ci) {
     if (!in.v[static_cast<std::size_t>(ci)]) continue;
     const float* wrow = &w.v[w.index(0, 0, ci, 0)];
     for (int co = 0; co < w.out_c; ++co) out.v[static_cast<std::size_t>(co)] += wrow[co];
   }
-  return out;
 }
 
 Tensor Reference::pad_dense(const Tensor& t, int p) {

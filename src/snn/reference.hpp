@@ -33,6 +33,10 @@ class Reference {
 
   // --- stateless building blocks (also used by calibration) ---------------
   static Tensor conv_currents(const SpikeMap& in_padded, const LayerWeights& w);
+  /// Scratch-buffer variant of conv_currents: `out` is reshaped and
+  /// overwritten (no allocation once its capacity is warm).
+  static void conv_currents_into(const SpikeMap& in_padded,
+                                 const LayerWeights& w, Tensor& out);
   static Tensor conv_currents_dense(const Tensor& in_padded,
                                     const LayerWeights& w);
   /// Scratch-buffer variant of conv_currents_dense: `out` is reshaped and
@@ -48,6 +52,9 @@ class Reference {
                                        const LayerWeights& w, int oy_lo,
                                        int oy_hi, Tensor& out);
   static Tensor fc_currents(const SpikeMap& in_flat, const LayerWeights& w);
+  /// Scratch-buffer variant of fc_currents.
+  static void fc_currents_into(const SpikeMap& in_flat, const LayerWeights& w,
+                               Tensor& out);
   static Tensor pad_dense(const Tensor& t, int p);
   /// Scratch-buffer variant of pad_dense (engine hot path).
   static void pad_dense_into(const Tensor& t, int p, Tensor& out);

@@ -23,15 +23,19 @@ namespace {
 /// layer's pooled input currents through the golden reference on the
 /// calibrated network (each layer sees the same calibrated prefix
 /// calibration did), fully sort them, and read the (1 - target) quantile.
+/// `rates` receives each layer's output firing rate over all images.
 std::vector<float> sorted_quantile_thresholds(
     const snn::Network& net, const std::vector<snn::Tensor>& images,
-    const std::vector<double>& targets) {
+    const std::vector<double>& targets, std::vector<double>& rates) {
   std::vector<std::vector<float>> pools(net.num_layers());
+  std::vector<std::size_t> spikes(net.num_layers()), neurons(net.num_layers());
   snn::Reference ref(net);
   for (const auto& img : images) {
     ref.reset();
     const auto& io = ref.step(img);
     for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      spikes[l] += snn::spike_count(io[l].output);
+      neurons[l] += io[l].output.size();
       const snn::LayerWeights& w = net.weights(l);
       snn::Tensor cur;
       switch (net.layer(l).kind) {
@@ -48,6 +52,11 @@ std::vector<float> sorted_quantile_thresholds(
       pools[l].insert(pools[l].end(), cur.v.begin(), cur.v.end());
     }
   }
+  rates.clear();
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    rates.push_back(static_cast<double>(spikes[l]) /
+                    static_cast<double>(neurons[l]));
+  }
   std::vector<float> out;
   for (std::size_t l = 0; l < pools.size(); ++l) {
     std::vector<float>& pool = pools[l];
@@ -63,9 +72,12 @@ std::vector<float> sorted_quantile_thresholds(
 void expect_thresholds_match_sorted_quantiles(
     snn::Network net, const std::vector<snn::Tensor>& images,
     const std::vector<double>& targets) {
-  snn::calibrate_thresholds(net, images, targets);
+  const std::vector<double> achieved =
+      snn::calibrate_thresholds(net, images, targets);
+  std::vector<double> rates;
   const std::vector<float> expect =
-      sorted_quantile_thresholds(net, images, targets);
+      sorted_quantile_thresholds(net, images, targets, rates);
+  EXPECT_EQ(rates, achieved);
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     const snn::LifParams& lif = net.layer(l).lif;
     EXPECT_EQ(std::bit_cast<std::uint32_t>(expect[l]),
@@ -84,6 +96,16 @@ TEST(Calibrate, Svgg11ThresholdsEqualSortedQuantiles) {
   sc::Rng rng(1);
   net.init_weights(rng);
   expect_thresholds_match_sorted_quantiles(net, snn::make_batch(2, 20),
+                                           snn::svgg11_target_rates());
+}
+
+TEST(Calibrate, Svgg11ThresholdsEqualSortedQuantilesOnThreeImages) {
+  // Three images on the S-VGG11 fan-out: an image count that is not a
+  // multiple of the executor count on a 2- or 4-thread host.
+  snn::Network net = snn::Network::make_svgg11();
+  sc::Rng rng(1);
+  net.init_weights(rng);
+  expect_thresholds_match_sorted_quantiles(net, snn::make_batch(3, 21),
                                            snn::svgg11_target_rates());
 }
 

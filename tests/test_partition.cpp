@@ -21,6 +21,7 @@
 
 #include "arch/noc.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "compress/csr_ifmap.hpp"
 #include "kernels/partition.hpp"
 #include "runtime/backend_sharded.hpp"
@@ -28,7 +29,6 @@
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
-#include "runtime/worker_pool.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
 
@@ -736,7 +736,7 @@ TEST(StagePipeline, EngineTimelineBeatsDataParallelOnTheTower) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkerPoolTest, RunsEveryTaskExactlyOnceWithBoundedSlots) {
-  rt::WorkerPool pool(3);
+  sc::WorkerPool pool(3);
   constexpr std::size_t kTasks = 200;
   std::vector<std::atomic<int>> ran(kTasks);
   std::atomic<int> max_slot{0};
@@ -754,7 +754,7 @@ TEST(WorkerPoolTest, RunsEveryTaskExactlyOnceWithBoundedSlots) {
 }
 
 TEST(WorkerPoolTest, NestedParallelForMakesProgress) {
-  rt::WorkerPool pool(2);
+  sc::WorkerPool pool(2);
   std::atomic<int> total{0};
   pool.parallel_for(4, 4, [&](std::size_t, std::size_t) {
     pool.parallel_for(8, 8, [&](std::size_t, std::size_t) {
@@ -765,7 +765,7 @@ TEST(WorkerPoolTest, NestedParallelForMakesProgress) {
 }
 
 TEST(WorkerPoolTest, PropagatesTaskExceptions) {
-  rt::WorkerPool pool(2);
+  sc::WorkerPool pool(2);
   EXPECT_THROW(
       pool.parallel_for(16, 4,
                         [&](std::size_t, std::size_t i) {
@@ -777,9 +777,9 @@ TEST(WorkerPoolTest, PropagatesTaskExceptions) {
 TEST(WorkerPoolTest, ClampsToHardwareConcurrency) {
   const int hw =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  EXPECT_EQ(rt::WorkerPool::clamp_to_hardware(0), 1);
-  EXPECT_EQ(rt::WorkerPool::clamp_to_hardware(1 << 20), hw);
-  rt::WorkerPool pool(1 << 20);
+  EXPECT_EQ(sc::WorkerPool::clamp_to_hardware(0), 1);
+  EXPECT_EQ(sc::WorkerPool::clamp_to_hardware(1 << 20), hw);
+  sc::WorkerPool pool(1 << 20);
   EXPECT_LE(pool.threads(), std::max(0, hw - 1));
 }
 

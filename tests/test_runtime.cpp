@@ -10,11 +10,11 @@
 #include "arch/cluster.hpp"
 #include "arch/program.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/multistep.hpp"
-#include "runtime/worker_pool.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
 
@@ -232,7 +232,7 @@ TEST(RunWave, HooksBracketEachLayerThenStepDone) {
   const rt::InferenceEngine eng(net, opt);
   const auto images = snn::make_batch(2, 5, 16, 16, 3);
   WaveLanes w(eng, images);
-  rt::WorkerPool pool(1);
+  sc::WorkerPool pool(1);
 
   std::vector<std::string> calls;
   const auto at = [](const char* what, int t, std::size_t l) {
@@ -273,7 +273,7 @@ TEST(RunWave, RerunAfterThrowingHookIsBitIdentical) {
   opt.segment_major_lanes = 2;
   const rt::InferenceEngine eng(net, opt);
   const auto images = snn::make_batch(2, 9, 16, 16, 3);
-  rt::WorkerPool pool(1);
+  sc::WorkerPool pool(1);
   const int T = 3;
   const auto run = [&](WaveLanes& w,
                        const rt::InferenceEngine::WaveHooks* hooks) {

@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/server.hpp"
-#include "runtime/worker_pool.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
 
@@ -411,7 +411,7 @@ TEST(IdleBehavior, WorkerPoolIdleBurnsNoCpu) {
   // less CPU than one spinning core would (~400 ms). On a single-core host
   // the pool clamps to zero threads and the bound holds trivially — the
   // assertion is about what the threads do when they do exist.
-  rt::WorkerPool pool(4);
+  sc::WorkerPool pool(4);
   std::atomic<int> ran{0};
   pool.parallel_for(8, 4, [&](std::size_t, std::size_t) {
     ran.fetch_add(1, std::memory_order_relaxed);

@@ -1,6 +1,9 @@
 // LIF dynamics, network construction, and the dense golden reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -103,6 +106,34 @@ TEST(Network, WeightInitIsDeterministicAndScaled) {
   EXPECT_NEAR(st.mean(), 0.0, 0.05);
 }
 
+TEST(Network, WeightInitMatchesSerialLoopBitForBit) {
+  // init_weights equals the plain loop over every weight in order, and
+  // leaves the caller's Rng where that loop does: on S-VGG11 (12.9 M
+  // weights, fanned out over threads) and on the deep tower (~10 k weights,
+  // on the calling thread).
+  for (snn::Network net :
+       {snn::Network::make_svgg11(), snn::Network::make_deep_tower()}) {
+    snn::Network serial = net;
+    sc::Rng rng(7), serial_rng(7);
+    net.init_weights(rng);
+    for (std::size_t l = 0; l < serial.num_layers(); ++l) {
+      const double stddev = std::sqrt(
+          2.0 / static_cast<double>(serial.layer(l).fan_in()));
+      for (float& x : serial.weights(l).v) {
+        x = static_cast<float>(serial_rng.normal(0.0, stddev));
+      }
+    }
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      const std::vector<float>& v = net.weights(l).v;
+      EXPECT_EQ(0, std::memcmp(v.data(), serial.weights(l).v.data(),
+                               v.size() * sizeof(float)))
+          << net.layer(l).name << " of a " << net.num_layers()
+          << "-layer network";
+    }
+    EXPECT_EQ(rng.next_u64(), serial_rng.next_u64());
+  }
+}
+
 TEST(Network, QuantizeIsIdempotent) {
   snn::Network net = snn::Network::make_tiny();
   sc::Rng rng(9);
@@ -116,7 +147,9 @@ TEST(Network, QuantizeIsIdempotent) {
 TEST(Network, QuantizedWeightsIdenticalAcrossSimdTiers) {
   // Every S-VGG11 layer's quantized v and half carry the same CRC32C under
   // the scalar tier and the widest one, and both equal the element-wise
-  // formula: round each weight, then pack the rounded float.
+  // formula: round each weight, then pack the rounded float. S-VGG11 is
+  // above the set-up fan-out cutoff, so this pins the FP16 pack's block
+  // ranges to the serial pack.
   namespace simd = sc::simd;
   snn::Network base = snn::Network::make_svgg11();
   sc::Rng rng(1);
@@ -160,14 +193,26 @@ TEST(Network, QuantizedWeightsIdenticalAcrossSimdTiers) {
 }
 
 TEST(Network, Fp32WeightsKeepNoHalf) {
-  snn::Network net = snn::Network::make_tiny();
+  // A layer that is not half-exact comes back with `half` cleared: every
+  // unrounded S-VGG11 layer, and a rounded layer with one value that is not
+  // binary16 in its last block (a narrowed value always round-trips, so
+  // the FP16 pack's ranges always come back exact).
+  snn::Network net = snn::Network::make_svgg11();
   sc::Rng rng(9);
   net.init_weights(rng);
+  snn::Network fp16 = net;
   net.quantize_weights(sc::FpFormat::FP32);
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     EXPECT_FALSE(net.weights(l).half_exact) << l;
     EXPECT_TRUE(net.weights(l).half.empty()) << l;
   }
+  fp16.quantize_weights(sc::FpFormat::FP16);
+  snn::LayerWeights& fc7 = fp16.weights(6);
+  ASSERT_TRUE(fc7.half_exact);
+  fc7.v.back() = 0.1f;
+  fc7.build_half();
+  EXPECT_FALSE(fc7.half_exact);
+  EXPECT_TRUE(fc7.half.empty());
 }
 
 TEST(Reference, ConvCurrentsManualExample) {
