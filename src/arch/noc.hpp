@@ -75,11 +75,12 @@ class NocModel {
                   ? (n_ + std::max(1, p.quadrant_size) - 1) /
                         std::max(1, p.quadrant_size)
                   : 1) {
-    up_.fill(0.0);
-    down_.fill(0.0);
-    cw_.fill(0.0);
-    ccw_.fill(0.0);
-    derate_.fill(1.0);
+    // Only the n_ cluster links and ring_ ring links are ever read.
+    std::fill_n(up_.begin(), n_, 0.0);
+    std::fill_n(down_.begin(), n_, 0.0);
+    std::fill_n(derate_.begin(), n_, 1.0);
+    std::fill_n(cw_.begin(), ring_, 0.0);
+    std::fill_n(ccw_.begin(), ring_, 0.0);
   }
 
   int clusters() const { return n_; }

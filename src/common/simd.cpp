@@ -401,8 +401,10 @@ __attribute__((target("avx512f,avx512bw"))) void groups_avx512(
 
 }  // namespace
 
-void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
-                        double* counts) {
+namespace detail {
+
+void group_spike_counts_dispatched(const std::uint8_t* row, int c, int group,
+                                   int groups, double* counts) {
   if (groups <= 0) return;
 #ifdef SPIKESTREAM_X86_SIMD
   switch (active()) {
@@ -413,6 +415,8 @@ void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
 #endif
   groups_scalar(row, c, group, groups, counts);
 }
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Binary16 weight pack (engine-build quantize)

@@ -58,13 +58,36 @@ std::size_t lif_step(const float* cur, float* mem, std::uint8_t* spikes,
                      std::size_t n, float alpha, float r, float v_th,
                      float v_rst);
 
+namespace detail {
+/// The tier-dispatched body of group_spike_counts.
+void group_spike_counts_dispatched(const std::uint8_t* row, int c, int group,
+                                   int groups, double* counts);
+}  // namespace detail
+
 /// Per-SIMD-group spike counts over one dense output row: counts[g] =
 /// sum(row[g * group .. min((g + 1) * group, c))) as a double (sums of
 /// small integers — exact in every summation order, so vector paths may
 /// reduce in any shape). The dense accumulate feeding the scheduler's
 /// per-group task costs.
-void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
-                        double* counts);
+///
+/// Rows of at most 8 channels (the deep tower's pricing windows) are summed
+/// inline: there the call and the tier dispatch cost more than the sum, and
+/// an opaque call in the pricer's position loop forces its running totals
+/// out of registers around every call.
+inline void group_spike_counts(const std::uint8_t* row, int c, int group,
+                               int groups, double* counts) {
+  if (c > 8) {
+    detail::group_spike_counts_dispatched(row, c, group, groups, counts);
+    return;
+  }
+  for (int g = 0; g < groups; ++g) {
+    const int lo = g * group;
+    const int hi = lo + group < c ? lo + group : c;
+    unsigned n = 0;
+    for (int ch = lo; ch < hi; ++ch) n += row[ch];
+    counts[g] = n;
+  }
+}
 
 /// IEEE binary16 pack with round-to-nearest-even: half[i] =
 /// fp32_to_fp16_bits(src[i]) and, unless `widened` is null, widened[i] =

@@ -4,6 +4,13 @@
 // spatial position in row-major order; `s_ptr` aggregates the spiking-neuron
 // count per spatial position (stored as 16-bit counts, prefix-summed on the
 // fly). FC layers degenerate to a single index array plus a count.
+//
+// Narrow maps (at most kNarrowChannels channels, like the deep tower's
+// 8-channel convs) also carry each spike's row offset x * c + channel: the
+// offset of its weight row within a kernel row of a conv layer reading this
+// map. The conv functional pass walks a receptive field's kernel rows as
+// contiguous runs over these offsets. They are written by the same pass
+// that writes the indices.
 #pragma once
 
 #include <cstdint>
@@ -21,18 +28,33 @@ class CsrIfmap {
   /// Compress a binary HWC spike map.
   static CsrIfmap encode(const snn::SpikeMap& dense);
 
-  /// Compress into a caller-owned CsrIfmap, reusing its `s_ptr`/`c_idcs`
-  /// buffers (capacity is retained across calls, so a warmed-up buffer
-  /// encodes with zero heap allocations).
+  /// Compress into a caller-owned CsrIfmap, reusing its buffers (capacity
+  /// is retained across calls, so a warmed-up buffer encodes with zero heap
+  /// allocations; a narrow map's buffers take its worst case on first use
+  /// and keep that size, the spike count held apart in nnz()).
   static void encode_into(const snn::SpikeMap& dense, CsrIfmap& out);
 
-  /// Pre-reserve for maps of up to `positions` spatial positions and
-  /// `nnz_cap` spikes. With the zero-sparsity worst case of a layer's input
-  /// shape, every later encode_into() on this object is heap-allocation-free
-  /// whatever occupancy the workload reaches.
-  void reserve(std::size_t positions, std::size_t nnz_cap) {
+  /// Maps with at most this many channels are narrow: encoded pixel by
+  /// pixel with branch-free writes, and given row offsets. One channel
+  /// octet per pixel; 8 is the deep tower's width, the only one measured.
+  static constexpr int kNarrowChannels = 8;
+  static constexpr bool is_narrow(int channels) {
+    return channels <= kNarrowChannels;
+  }
+
+  /// Pre-reserve for maps of up to `positions` spatial positions of
+  /// `channels` channels, every neuron spiking: every later encode_into() of
+  /// such a map on this object is heap-allocation-free whatever occupancy
+  /// the workload reaches.
+  void reserve(std::size_t positions, int channels) {
+    const std::size_t cap = positions * static_cast<std::size_t>(channels);
     s_ptr_.reserve(positions + 1);
-    c_idcs_.reserve(nnz_cap);
+    if (!is_narrow(channels)) {
+      c_idcs_.reserve(cap);
+      return;
+    }
+    c_idcs_.reserve(cap + kNarrowSlack);
+    row_offsets_.reserve(cap + kNarrowSlack);
   }
 
   /// Footprint a map with `nnz` spikes over h*w positions would compress to,
@@ -50,7 +72,7 @@ class CsrIfmap {
   int h() const { return h_; }
   int w() const { return w_; }
   int c() const { return c_; }
-  std::size_t nnz() const { return c_idcs_.size(); }
+  std::size_t nnz() const { return nnz_; }
   double density() const {
     const auto total = static_cast<double>(h_) * w_ * c_;
     return total > 0 ? static_cast<double>(nnz()) / total : 0.0;
@@ -74,7 +96,16 @@ class CsrIfmap {
   }
 
   const std::vector<std::uint32_t>& s_ptr() const { return s_ptr_; }
-  const std::vector<std::uint16_t>& c_idcs() const { return c_idcs_; }
+  std::span<const std::uint16_t> c_idcs() const {
+    return {c_idcs_.data(), nnz_};
+  }
+  /// Whether row_offsets() is filled: the map is narrow.
+  bool has_row_offsets() const { return is_narrow(c_); }
+  /// Narrow maps: per spike i at column x, x * c() + c_idcs()[i]. Empty
+  /// for wider maps.
+  std::span<const std::uint32_t> row_offsets() const {
+    return {row_offsets_.data(), has_row_offsets() ? nnz_ : 0};
+  }
 
   /// Storage footprint in bytes with `idx_bytes`-wide indices and counts
   /// (the paper assumes 2). `s_ptr` is stored as one count per position.
@@ -98,9 +129,14 @@ class CsrIfmap {
   }
 
  private:
+  /// The narrow encode stores a whole channel octet past its last spike.
+  static constexpr std::size_t kNarrowSlack = 8;
+
   int h_ = 0, w_ = 0, c_ = 0;
+  std::size_t nnz_ = 0;                ///< spikes: c_idcs_[0, nnz_) in use
   std::vector<std::uint32_t> s_ptr_;   ///< h*w+1 prefix sums
   std::vector<std::uint16_t> c_idcs_;  ///< channel index per spike
+  std::vector<std::uint32_t> row_offsets_;  ///< narrow maps: x * c + index
 };
 
 }  // namespace spikestream::compress

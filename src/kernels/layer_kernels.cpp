@@ -260,14 +260,29 @@ void add_runs(const WeightRows& w, float* __restrict__ acc, const Idx* idx,
               const IndexRun* runs, int n_runs) {
   if (!w.half && w.out_c == 8) {
     // One row per register: the accumulator stays in it across every run.
+    // Runs are short at SNN sparsity (0-3 spikes per kernel row of the deep
+    // tower), so each run ends in three slots added unconditionally: a slot
+    // past the run selects a zero row instead of branching on the count.
+    // Adding +0 leaves the accumulator's bits unchanged, because it starts
+    // at +0 and an IEEE sum is -0 only when both operands are.
+    static constexpr float kZeroRow[8] = {};
+    static constexpr Idx kNoIndex = 0;
     const auto* wf = reinterpret_cast<const float*>(w.base);
     Lanes8 a;
     std::memcpy(&a, acc, sizeof a);
+    const auto add = [&a](const float* row) {
+      Lanes8 v;
+      std::memcpy(&v, row, sizeof v);
+      a += v;
+    };
     for (int r = 0; r < n_runs; ++r) {
-      for (std::uint32_t i = runs[r].lo; i < runs[r].hi; ++i) {
-        Lanes8 row;
-        std::memcpy(&row, wf + (runs[r].base + idx[i]) * 8, sizeof row);
-        a += row;
+      const IndexRun run = runs[r];
+      std::uint32_t i = run.lo;
+      for (; i + 3 < run.hi; ++i) add(wf + (run.base + idx[i]) * 8);
+      for (std::uint32_t j = 0; j < 3; ++j) {
+        const bool live = i + j < run.hi;
+        const Idx* at = live ? idx + i + j : &kNoIndex;
+        add(live ? wf + (run.base + *at) * 8 : kZeroRow);
       }
     }
     std::memcpy(acc, &a, sizeof a);
@@ -300,15 +315,6 @@ void add_runs(const WeightRows& w, float* __restrict__ acc, const Idx* idx,
   if (n > 0) flush();
 }
 
-/// Whether a conv layer's fields are walked as k runs over the row-offset
-/// index (KernelScratch::row_index) or as k*k per-position spans over the
-/// CSR indices. The index pays for rows of 8 lanes (one register), where a
-/// span's loop overhead rivals its row add (deep tower, out_c 8: +20 % host
-/// throughput over spans). Wider rows are dominated by the adds, and the
-/// index's worst-case reserve — 4 bytes per input neuron in every lane
-/// state — would cost S-VGG11 (out_c >= 128) 5 % of its peak RSS.
-bool uses_row_index(const snn::LayerSpec& spec) { return spec.out_c <= 8; }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -324,29 +330,6 @@ void shape_functional(const snn::LayerSpec& spec,
   SPK_CHECK(ifmap->h() == spec.in_h && ifmap->w() == spec.in_w &&
                 ifmap->c() == spec.in_c,
             "conv " << spec.name << ": ifmap shape mismatch");
-  if (!uses_row_index(spec)) return;
-  SPK_CHECK(static_cast<double>(spec.in_w) * spec.in_c < 4294967296.0,
-            "conv " << spec.name << ": row offsets exceed 32 bits");
-  // Row offset of every spike within its kernel row: x * in_c + c. The
-  // worst case (every input neuron spiking) is reserved on first use, so a
-  // later occupancy peak never grows the index.
-  const std::vector<std::uint32_t>& s_ptr = ifmap->s_ptr();
-  const std::vector<std::uint16_t>& c_idcs = ifmap->c_idcs();
-  std::vector<std::uint32_t>& g = scratch.row_index;
-  g.reserve(static_cast<std::size_t>(spec.in_h) *
-            static_cast<std::size_t>(spec.in_w) *
-            static_cast<std::size_t>(spec.in_c));
-  g.resize(c_idcs.size());
-  const std::uint32_t in_c = static_cast<std::uint32_t>(spec.in_c);
-  std::size_t p = 0;
-  for (int y = 0; y < spec.in_h; ++y) {
-    for (std::uint32_t x = 0; x < static_cast<std::uint32_t>(spec.in_w);
-         ++x, ++p) {
-      for (std::uint32_t i = s_ptr[p]; i < s_ptr[p + 1]; ++i) {
-        g[i] = x * in_c + c_idcs[i];
-      }
-    }
-  }
 }
 
 std::size_t conv_functional_rows(const snn::LayerSpec& spec,
@@ -354,11 +337,7 @@ std::size_t conv_functional_rows(const snn::LayerSpec& spec,
                                  const compress::CsrIfmap& ifmap,
                                  snn::Tensor& membrane, KernelScratch& scratch,
                                  int oy_lo, int oy_hi) {
-  const bool by_run = uses_row_index(spec);
-  SPK_CHECK(!by_run || scratch.row_index.size() == ifmap.c_idcs().size(),
-            "conv " << spec.name
-                    << ": row index not built for this ifmap"
-                       " (call shape_functional first)");
+  const bool by_run = ifmap.has_row_offsets();
   const int k = spec.k;
   const int ow = spec.out_w();
   const int out_c = spec.out_c;
@@ -371,12 +350,13 @@ std::size_t conv_functional_rows(const snn::LayerSpec& spec,
 
   // A receptive field's weight rows, in the reference's (kh, kw, ci) order.
   // The k input positions under one kernel row are adjacent in the CSR's
-  // row-major order, so their spikes form one index run: with the
-  // row-offset index, spike i at column x streams row
-  // (kh*k + x - ox)*in_c + c = base + g[i]. Without it, each position is
-  // its own span over c_idcs, based at (kh*k + kw)*in_c.
+  // row-major order, so their spikes form one index run: with a narrow
+  // map's row offsets, spike i at column x streams row
+  // (kh*k + x - ox)*in_c + c = base + g[i]. Otherwise each position is its
+  // own span over c_idcs, based at (kh*k + kw)*in_c. Both walks add the
+  // same rows in the same order.
   const WeightRows w = weight_rows(weights, out_c);
-  const std::uint32_t* g = scratch.row_index.data();
+  const std::uint32_t* g = ifmap.row_offsets().data();
   const std::uint16_t* c_idcs = ifmap.c_idcs().data();
   const std::vector<std::uint32_t>& s_ptr = ifmap.s_ptr();
   const std::ptrdiff_t in_c = spec.in_c;
@@ -567,6 +547,19 @@ void conv_time_window(const snn::LayerSpec& spec,
   rf_costs.reserve(static_cast<std::size_t>(win.oy_hi - win.oy_lo) * ow);
   scratch.group_counts.resize(static_cast<std::size_t>(groups));
   double* gcounts = scratch.group_counts.data();
+  // The activity counters accumulate in locals, which the rf_costs and
+  // group-count stores cannot alias, and land in `st` once at the end. Each
+  // counter sees the same additions in the same order as summing into `st`
+  // directly would, so the totals are bit-identical.
+  double fpu_ops = 0, int_instrs = 0, tcdm_words = 0, ssr_elems = 0;
+  // Activation of one group of `gs` spikes: thresholding is integer-pipe
+  // work, plus the s_ptr update and the packed c_idcs words.
+  const auto activate = [&](double gs) {
+    const double cyc = activation_cycles(p, simd, gs, fp8);
+    int_instrs += cyc;
+    tcdm_words += 1.0 + gs / 4.0;
+    return cyc;
+  };
   double fired = 0;
   for (int oy = win.oy_lo; oy < win.oy_hi; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
@@ -576,7 +569,7 @@ void conv_time_window(const snn::LayerSpec& spec,
       const double elems = profile.elems[pos];
       double fpu_time = profile.fpu_time[pos];  // FPU sequencer timeline
       double int_time = 0;  // integer-core timeline (setup + activation)
-      st.fpu_ops += elems * groups;
+      fpu_ops += elems * groups;
       common::simd::group_spike_counts(&out.at(oy, ox, win.c_lo), sub.out_c,
                                        simd, groups, gcounts);
       for (int g = 0; g < groups; ++g) fired += gcounts[g];
@@ -585,16 +578,12 @@ void conv_time_window(const snn::LayerSpec& spec,
       if (opt.variant == Variant::kSpikeStream) {
         fpu_time *= groups;
         int_time = p.steal_cost + p.ss_setup * k * k * groups;
-        for (int g = 0; g < groups; ++g) {
-          const double gs = gcounts[g];
-          int_time += activation_cycles(p, simd, gs, fp8);
-          count_activation(st, p, simd, gs, fp8);
-        }
+        for (int g = 0; g < groups; ++g) int_time += activate(gcounts[g]);
         // Pseudo dual-issue: integer work overlaps the FPU streams.
         rf = std::max(fpu_time, int_time);
-        st.int_instrs += 14.0 * k * k * groups;
-        st.tcdm_words += (elems + elems / 4.0) * groups;
-        st.ssr_elems += elems * groups;
+        int_instrs += 14.0 * k * k * groups;
+        tcdm_words += (elems + elems / 4.0) * groups;
+        ssr_elems += elems * groups;
       } else if (opt.variant == Variant::kDenseNoTc) {
         // Uncompressed ifmap: one affine weight stream per position walks
         // the *entire* fan-in; the dense activation vector streams alongside
@@ -603,32 +592,28 @@ void conv_time_window(const snn::LayerSpec& spec,
         fpu_time = (p.fadd_latency * dense_elems * stretch +
                     p.ss_residue * k * k) * groups;
         int_time = p.steal_cost + p.dense_setup * k * k * groups;
-        for (int g = 0; g < groups; ++g) {
-          const double gs = gcounts[g];
-          int_time += activation_cycles(p, simd, gs, fp8);
-          count_activation(st, p, simd, gs, fp8);
-        }
+        for (int g = 0; g < groups; ++g) int_time += activate(gcounts[g]);
         rf = std::max(fpu_time, int_time);
-        st.fpu_ops += (dense_elems - elems) * groups;  // elems already added
-        st.int_instrs += 10.0 * k * k * groups;
-        st.tcdm_words += 2.0 * dense_elems * groups;
-        st.ssr_elems += 2.0 * dense_elems * groups;
+        fpu_ops += (dense_elems - elems) * groups;  // elems already added
+        int_instrs += 10.0 * k * k * groups;
+        tcdm_words += 2.0 * dense_elems * groups;
+        ssr_elems += 2.0 * dense_elems * groups;
       } else {
         // Baseline: everything serializes through the integer pipe.
         rf = (elems * p.baseline_elem_cycles +
               p.baseline_spva_overhead * k * k) *
              groups;
-        for (int g = 0; g < groups; ++g) {
-          const double gs = gcounts[g];
-          rf += activation_cycles(p, simd, gs, fp8);
-          count_activation(st, p, simd, gs, fp8);
-        }
-        st.int_instrs += (16.0 * k * k + 8.0 * elems) * groups;
-        st.tcdm_words += 2.0 * elems * groups;
+        for (int g = 0; g < groups; ++g) rf += activate(gcounts[g]);
+        int_instrs += (16.0 * k * k + 8.0 * elems) * groups;
+        tcdm_words += 2.0 * elems * groups;
       }
       rf_costs.push_back(rf);
     }
   }
+  st.fpu_ops = fpu_ops;
+  st.int_instrs = int_instrs;
+  st.tcdm_words = tcdm_words;
+  st.ssr_elems = ssr_elems;
   run.out_nnz = static_cast<std::size_t>(fired);
 
   schedule_into(opt, rf_costs, scratch.sched);

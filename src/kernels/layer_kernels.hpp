@@ -105,13 +105,12 @@ void encode_functional(const snn::LayerSpec& spec,
 // Row-band forms of the conv/encode functional passes, for callers that
 // split one layer into contiguous output-row bands on several host threads
 // (runtime/backend_sharded.hpp). shape_functional() sizes scratch.currents
-// and scratch.run.out_spikes for the whole layer once and, for a conv layer
-// (`ifmap` non-null) with narrow rows, builds the weight-row offset index
-// every band reads (KernelScratch::row_index), so conv bands must follow a
-// shape_functional() call on the same ifmap; each band then fills rows
-// [oy_lo, oy_hi) of both, LIF-steps the same rows of `membrane`, and
-// returns its spike count. Every neuron sees the same fan-in in the same
-// order as the whole-layer call, so any banding is bit-identical to it.
+// and scratch.run.out_spikes for the whole layer once (and checks a conv
+// layer's `ifmap` shape), so bands must follow a shape_functional() call;
+// each band then fills rows [oy_lo, oy_hi) of both, LIF-steps the same rows
+// of `membrane`, and returns its spike count. Every neuron sees the same
+// fan-in in the same order as the whole-layer call, so any banding is
+// bit-identical to it.
 // Bands over disjoint rows may run concurrently on one shared scratch.
 
 void shape_functional(const snn::LayerSpec& spec,

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -25,25 +26,46 @@ struct ScheduleResult {
   }
 };
 
+/// Index of the earliest-free core: the first minimum of c[0..n), exactly
+/// what the scan `if (c[i] < c[best]) best = i` returns, with selects in
+/// place of its data-dependent branches.
+inline std::size_t earliest_core(const double* c, std::size_t n) {
+  std::size_t best = 0;
+  double best_cycles = c[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    const bool earlier = c[i] < best_cycles;
+    best = earlier ? i : best;
+    best_cycles = earlier ? c[i] : best_cycles;
+  }
+  return best;
+}
+
 /// Dynamic workload stealing into a caller-owned result (scratch reuse, no
 /// allocations once `core_cycles` capacity is warm): tasks claimed in order
 /// by the earliest-free core (lowest index on ties, matching the atomic
-/// next_rf fetch); each claim pays `steal_cost` cycles. Core counts are
-/// single digits, so a linear min-scan beats a heap and needs no storage.
+/// next_rf fetch); each claim pays `steal_cost` cycles, added as
+/// `time + steal_cost + t` so results stay bit-identical to the historical
+/// priority-queue implementation.
 inline void steal_schedule_into(std::span<const double> task_cycles, int cores,
                                 double steal_cost, ScheduleResult& r) {
   r.core_cycles.assign(static_cast<std::size_t>(cores), 0.0);
   r.makespan = 0;
-  for (double t : task_cycles) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < r.core_cycles.size(); ++c) {
-      if (r.core_cycles[c] < r.core_cycles[best]) best = c;
-    }
-    // Same evaluation order as `time + steal_cost + t` so results stay
-    // bit-identical to the historical priority-queue implementation.
-    r.core_cycles[best] = r.core_cycles[best] + steal_cost + t;
+  const std::size_t n = r.core_cycles.size();
+  double* c = r.core_cycles.data();
+  std::size_t i = 0;
+  // Claim-order shortcut: while every claim so far left its core busy
+  // (finish time > 0), cores [0, i) are busy and the rest idle at 0, so
+  // claim i goes to core i, the lowest-index idle core, with no scan.
+  for (; i < task_cycles.size() && i < n; ++i) {
+    const double t = 0.0 + steal_cost + task_cycles[i];
+    if (!(t > 0)) break;
+    c[i] = t;
   }
-  for (double c : r.core_cycles) r.makespan = std::max(r.makespan, c);
+  for (; i < task_cycles.size(); ++i) {
+    const std::size_t best = earliest_core(c, n);
+    c[best] = c[best] + steal_cost + task_cycles[i];
+  }
+  for (double t : r.core_cycles) r.makespan = std::max(r.makespan, t);
 }
 
 /// Dynamic workload stealing: tasks claimed in order by the earliest-free

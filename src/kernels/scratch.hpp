@@ -1,5 +1,5 @@
 // Scratch arenas for the simulation hot path. Every buffer a layer execution
-// needs — accumulator planes, spike maps, CSR row-offset indices, timing-pass
+// needs — accumulator planes, spike maps, compressed ifmaps, timing-pass
 // profiles and task vectors — lives in one of these structs, owned by
 // snn::NetworkState (one LayerScratch per layer per state) and *borrowed* by
 // the engine, backends and kernels for the duration of a call. Buffers are
@@ -45,10 +45,10 @@ struct StreamProfile {
 };
 
 /// Everything one kernel invocation (conv / FC / encode) allocates: the
-/// functional-pass accumulator plane and weight-row offset index, the
-/// timing-pass stream profile, task costs and group spike counts, and the
-/// schedule simulation buffers. Reused verbatim across layers of compatible
-/// shape; grown (never shrunk) otherwise.
+/// functional-pass accumulator plane, the timing-pass stream profile, task
+/// costs and group spike counts, and the schedule simulation buffers. Reused
+/// verbatim across layers of compatible shape; grown (never shrunk)
+/// otherwise.
 struct KernelScratch {
   LayerRun run;                    ///< kernel output, reused across calls
   /// Batch-level weight-tile reuse: true once this (state, layer) lane — one
@@ -58,12 +58,6 @@ struct KernelScratch {
   /// membrane reset between samples is exactly when the pin pays off.
   bool weights_warm = false;
   snn::Tensor currents;            ///< synaptic-current accumulator plane
-  /// Conv functional pass (layers with rows of at most 8 lanes): per
-  /// ifmap spike i at column x, the weight-row offset x * in_c + c_idcs[i]
-  /// within its kernel row. A receptive field's k spans under one kernel
-  /// row are then one contiguous CSR run whose rows sit at a fixed offset
-  /// from these values. Reserved for the layer's worst case on first use.
-  std::vector<std::uint32_t> row_index;
   StreamProfile profile;           ///< conv timing: per-pixel streams
   std::vector<double> tasks;       ///< timing pass: per-RF / per-group costs
   std::vector<double> group_counts;  ///< per-position SIMD-group spike counts

@@ -28,13 +28,13 @@ void ExecutionBackend::presize_state(snn::NetworkState& state,
                                      const snn::Network& net) const {
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     const snn::LayerSpec& spec = net.layer(l);
+    // An encode layer reads the dense image: its input is never compressed.
+    if (spec.kind == snn::LayerKind::kEncodeConv) continue;
     kernels::LayerScratch& scratch = state.scratch(l);
     const std::size_t positions = static_cast<std::size_t>(spec.in_h) *
                                   static_cast<std::size_t>(spec.in_w);
-    const std::size_t in_elems =
-        positions * static_cast<std::size_t>(spec.in_c);
     // Input-compression arena: worst case is every input neuron spiking.
-    scratch.csr.reserve(positions, in_elems);
+    scratch.csr.reserve(positions, spec.in_c);
   }
 }
 

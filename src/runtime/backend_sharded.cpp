@@ -33,10 +33,15 @@ ShardedBackend::ShardedBackend(const kernels::RunOptions& opt,
 }
 
 std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
-    const snn::LayerSpec& spec) const {
+    const snn::LayerSpec& spec, const StageInfo** stage) const {
   const std::uint64_t sig = kernels::layer_signature(spec);
+  if (stage != nullptr) *stage = nullptr;
   {
     std::shared_lock<std::shared_mutex> lock(plan_mu_);
+    if (stage != nullptr && pipeline_.enabled) {
+      const auto st = stage_info_.find(sig);
+      if (st != stage_info_.end()) *stage = &st->second;  // node-stable
+    }
     const auto it = plans_.find(sig);
     if (it != plans_.end()) return it->second;
   }
@@ -235,8 +240,7 @@ void ShardedBackend::run_functional(const snn::LayerSpec& spec,
     return;
   }
   // Conv / encode: contiguous output-row bands write disjoint rows of the
-  // shared currents, membrane and spikes (rows are contiguous in HWC); conv
-  // bands share the row-offset index shape_functional builds once.
+  // shared currents, membrane and spikes (rows are contiguous in HWC).
   kernels::shape_functional(spec, ifmap, main);
   const std::size_t bands = host_bands(spec);
   const std::size_t oh = static_cast<std::size_t>(spec.out_h());
@@ -316,15 +320,6 @@ void ShardedBackend::apply_noc(kernels::KernelStats& st,
       st.cycles = gate;
     }
   }
-}
-
-const ShardedBackend::StageInfo* ShardedBackend::stage_info_for(
-    const snn::LayerSpec& spec) const {
-  if (!pipeline_.enabled) return nullptr;
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  std::shared_lock<std::shared_mutex> lock(plan_mu_);
-  const auto it = stage_info_.find(sig);
-  return it == stage_info_.end() ? nullptr : &it->second;  // node-stable
 }
 
 void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
@@ -472,10 +467,10 @@ const kernels::LayerRun& ShardedBackend::run_layer(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap* ifmap, const snn::Tensor* image,
     snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
-  const auto plan_ref = plan_handle(spec);  // pinned for this run
+  const StageInfo* stage = nullptr;
+  const auto plan_ref = plan_handle(spec, &stage);  // pinned for this run
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
-  const StageInfo* stage = stage_info_for(spec);
   const int base = stage != nullptr ? stage->cluster_lo : 0;
   // One functional pass over the full layer, whatever the plan: every shard
   // axis computes each neuron with its complete fan-in in the reference

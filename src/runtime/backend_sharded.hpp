@@ -238,8 +238,12 @@ class ShardedBackend : public ExecutionBackend {
   /// executes with for the whole layer run, so a fail-stop re-plan can swap
   /// in a new plan concurrently without invalidating in-flight shards
   /// (copy-on-write — the old plan lives until its last holder drops it).
+  /// With `stage` non-null, the same lookup also sets it to the layer's
+  /// stage assignment, or null outside stage mode / for layers the prepared
+  /// network did not contain (they run at the full cluster count, exactly
+  /// like an unknown signature in the plan cache).
   std::shared_ptr<const kernels::LayerPlan> plan_handle(
-      const snn::LayerSpec& spec) const;
+      const snn::LayerSpec& spec, const StageInfo** stage = nullptr) const;
 
   /// Stage mode: balance `specs` into a pipeline over `part`'s cluster count
   /// and pin every member layer's plan at its stage's group width (stage
@@ -261,12 +265,6 @@ class ShardedBackend : public ExecutionBackend {
     return slowdown_[static_cast<std::size_t>(cluster)].load(
         std::memory_order_relaxed);
   }
-
-  /// This layer's stage assignment, or null outside stage mode / for layers
-  /// the prepared network did not contain (they run at the full cluster
-  /// count, exactly like an unknown signature in the plan cache). Looked up
-  /// once per layer run.
-  const StageInfo* stage_info_for(const snn::LayerSpec& spec) const;
 
   int clusters_;
   bool threads_;

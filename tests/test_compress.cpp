@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "compress/aer.hpp"
 #include "compress/csr_ifmap.hpp"
 
 namespace cp = spikestream::compress;
 namespace snn = spikestream::snn;
+namespace simd = spikestream::common::simd;
 
 namespace {
 
@@ -16,7 +21,65 @@ snn::SpikeMap random_map(int h, int w, int c, double rate, std::uint64_t seed) {
   return s;
 }
 
+template <class T>
+std::vector<T> to_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
 }  // namespace
+
+TEST(Csr, EncodeMatchesNaiveReferenceAtEveryWidthAndTier) {
+  // Narrow maps (one table-driven pass that also writes the row offsets)
+  // and wide maps (the SIMD nonzero scan) against a per-byte loop, for
+  // every channel count up to 80 and any nonzero byte as a spike.
+  struct Restore {
+    ~Restore() { simd::force_tier(simd::max_supported()); }
+  } restore;
+  spikestream::common::Rng rng(77);
+  for (int c = 1; c <= 80; ++c) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const int h = 1 + static_cast<int>(rng.uniform_u64(6));
+      const int w = 1 + static_cast<int>(rng.uniform_u64(9));
+      const double density = rng.uniform();
+      snn::SpikeMap dense(h, w, c);
+      for (auto& b : dense.v) {
+        b = rng.bernoulli(density)
+                ? static_cast<std::uint8_t>(1 + rng.uniform_u64(255))
+                : 0;
+      }
+      std::vector<std::uint32_t> s_ptr{0};
+      std::vector<std::uint16_t> idcs;
+      std::vector<std::uint32_t> offsets;
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          for (int ch = 0; ch < c; ++ch) {
+            if (dense.at(y, x, ch) == 0) continue;
+            idcs.push_back(static_cast<std::uint16_t>(ch));
+            offsets.push_back(static_cast<std::uint32_t>(x * c + ch));
+          }
+          s_ptr.push_back(static_cast<std::uint32_t>(idcs.size()));
+        }
+      }
+      if (!cp::CsrIfmap::is_narrow(c)) offsets.clear();
+      for (const simd::Tier tier :
+           {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+        const simd::Tier in_effect = simd::force_tier(tier);
+        // One fresh encode and one into a buffer that held a denser map.
+        cp::CsrIfmap reused = cp::CsrIfmap::encode(random_map(h, w, c, 1.0, 5));
+        cp::CsrIfmap::encode_into(dense, reused);
+        for (const cp::CsrIfmap& got : {cp::CsrIfmap::encode(dense), reused}) {
+          EXPECT_EQ(got.s_ptr(), s_ptr)
+              << "c=" << c << " " << simd::tier_name(in_effect);
+          EXPECT_EQ(to_vector(got.c_idcs()), idcs)
+              << "c=" << c << " " << simd::tier_name(in_effect);
+          EXPECT_EQ(got.has_row_offsets(), cp::CsrIfmap::is_narrow(c));
+          EXPECT_EQ(to_vector(got.row_offsets()), offsets)
+              << "c=" << c << " " << simd::tier_name(in_effect);
+        }
+      }
+    }
+  }
+}
 
 TEST(Csr, EncodeKnownPattern) {
   snn::SpikeMap s(2, 2, 4);

@@ -11,6 +11,7 @@
 #include "bench/alloc_hook.hpp"
 #include "common/rng.hpp"
 #include "compress/csr_ifmap.hpp"
+#include "kernels/layer_kernels.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
@@ -229,16 +230,58 @@ TEST(ScratchReuse, CsrEncodeIntoReusesBuffers) {
   for (auto& b : dense.v) b = rng.bernoulli(0.3);
   compress::CsrIfmap csr;
   compress::CsrIfmap::encode_into(dense, csr);
-  const auto once = csr.c_idcs();
+  const std::vector<std::uint16_t> once(csr.c_idcs().begin(),
+                                        csr.c_idcs().end());
   // Re-encoding equal or sparser maps into the same object allocates nothing.
   const std::size_t before = spikestream::alloc_hook::allocs();
   for (int r = 0; r < 10; ++r) compress::CsrIfmap::encode_into(dense, csr);
   const std::size_t after = spikestream::alloc_hook::allocs();
   EXPECT_EQ(after - before, 0u);
-  EXPECT_EQ(csr.c_idcs(), once);
+  EXPECT_EQ(std::vector<std::uint16_t>(csr.c_idcs().begin(),
+                                       csr.c_idcs().end()),
+            once);
   // And the reused encoding round-trips.
   const snn::SpikeMap back = csr.decode();
   EXPECT_EQ(back.v, dense.v);
+}
+
+TEST(ScratchReuse, NarrowConvLayerAllocatesNothingAfterWarmUp) {
+  // A deep-tower conv layer (8x8 inputs of 8 channels): its input encodes
+  // through the narrow path, indices and row offsets into buffers reserved
+  // for the worst case, so no occupancy (a full map included) allocates,
+  // and the layer's functional and timing passes reuse their arena.
+  const snn::Network tower = snn::Network::make_deep_tower();
+  const snn::LayerSpec& spec = tower.layer(1);
+  ASSERT_TRUE(compress::CsrIfmap::is_narrow(spec.in_c));
+  snn::LayerWeights weights;
+  weights.k = spec.k;
+  weights.in_c = spec.in_c;
+  weights.out_c = spec.out_c;
+  weights.v.assign(static_cast<std::size_t>(spec.k) * spec.k * spec.in_c *
+                       spec.out_c,
+                   0.05f);
+  sc::Rng rng(4);
+  std::vector<snn::SpikeMap> maps;
+  for (const double d : {0.0, 0.11, 1.0, 0.5, 0.11}) {
+    snn::SpikeMap m(spec.in_h, spec.in_w, spec.in_c);
+    for (auto& b : m.v) b = rng.bernoulli(d);
+    maps.push_back(std::move(m));
+  }
+  compress::CsrIfmap csr;
+  csr.reserve(static_cast<std::size_t>(spec.in_h) * spec.in_w, spec.in_c);
+  k::KernelScratch ks;
+  snn::Tensor membrane(spec.out_h(), spec.out_w(), spec.out_c);
+  const k::RunOptions opt;
+  compress::CsrIfmap::encode_into(maps[1], csr);
+  k::run_conv_layer(spec, weights, csr, membrane, opt, ks);  // warm-up
+  const std::size_t before = spikestream::alloc_hook::allocs();
+  for (const snn::SpikeMap& m : maps) {
+    compress::CsrIfmap::encode_into(m, csr);
+    k::run_conv_layer(spec, weights, csr, membrane, opt, ks);
+  }
+  const std::size_t after = spikestream::alloc_hook::allocs();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(csr.decode().v, maps.back().v);
 }
 
 TEST(ScratchReuse, BatchRunnerReusedStatesMatchPerSampleStates) {
